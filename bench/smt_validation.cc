@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.hh"
-#include "cpu/smt_core.hh"
+#include "cpu/core.hh"
 #include "mem/memory_system.hh"
 #include "trace/workloads.hh"
 
@@ -43,7 +43,7 @@ runSmt(const std::string &workload, int threads, bool spb,
     }
     CoreConfig cfg;
     cfg.useSpb = spb;
-    SmtCore smt(cfg, threads, &clock, &mem.l1d(0), ptrs);
+    Core smt(cfg, 0, &clock, &mem.l1d(0), ptrs);
     while (smt.minCommitted() < uops_per_thread) {
         clock.tick();
         smt.tick();

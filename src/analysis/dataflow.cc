@@ -259,6 +259,9 @@ class Extractor
     {
         std::string base;
         std::string field; //!< last member; empty for plain vars
+        /** Some link before the field names a stats object: the chain
+         *  writes a stat (`stats_.x`, per-context `t.stats.x`). */
+        bool statsLink = false;
         int line = 0;
     };
 
@@ -298,6 +301,10 @@ class Extractor
         }
         chain.base = names.back();
         chain.field = names.size() > 1 ? names.front() : std::string();
+        chain.statsLink = std::any_of(
+            names.begin() + 1, names.end(), [](const std::string &n) {
+                return n.find("stats") != std::string::npos;
+            });
         return true;
     }
 
@@ -305,7 +312,7 @@ class Extractor
     classify(const Chain &chain) const
     {
         if (!chain.field.empty()) {
-            if (chain.base.find("stats") != std::string::npos)
+            if (chain.statsLink)
                 return Lvalue::StatWrite;
             if (chain.base == "this" || chain.base.back() == '_')
                 return Lvalue::StateWrite;

@@ -117,7 +117,7 @@ using SummaryCache = std::map<std::string, SummaryCacheEntry>;
 
 /** Bump when the summary format or extraction semantics change: a
  *  stale blob must deserialize as a miss. */
-inline constexpr int kSummaryVersion = 1;
+inline constexpr int kSummaryVersion = 2;
 
 /** Dataflow knowledge attached to the Project. Vectors indexed like
  *  DeclIndex::functions unless noted. */

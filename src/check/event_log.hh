@@ -8,8 +8,8 @@
  * written); a load observes either a forwarding store (same thread) or
  * the latest globally visible store to its address at the cycle its
  * data arrives. The litmus harness (tests/litmus/) replays classic TSO
- * patterns through smt_core with this log attached and asserts only
- * TSO-legal outcomes occur.
+ * patterns through a multi-threaded Core with this log attached
+ * (Core::setEventLog) and asserts only TSO-legal outcomes occur.
  */
 
 #pragma once

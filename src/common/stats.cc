@@ -148,46 +148,4 @@ ratio(double num, double den, double ifZero)
     return den == 0.0 ? ifZero : num / den;
 }
 
-Histogram::Histogram(std::size_t buckets, std::uint64_t max)
-    : counts_(buckets, 0),
-      bucketWidth_(buckets == 0 ? 1 : (max + buckets - 1) / buckets),
-      max_(max)
-{
-    SPB_ASSERT(buckets > 0, "histogram needs at least one bucket");
-    SPB_ASSERT(max > 0, "histogram needs a positive range");
-    if (bucketWidth_ == 0)
-        bucketWidth_ = 1;
-}
-
-void
-Histogram::sample(std::uint64_t value)
-{
-    std::size_t idx = static_cast<std::size_t>(value / bucketWidth_);
-    if (idx >= counts_.size())
-        idx = counts_.size() - 1;
-    ++counts_[idx];
-    ++count_;
-    sum_ += value;
-}
-
-double
-Histogram::average() const
-{
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) /
-                             static_cast<double>(count_);
-}
-
-double
-Histogram::fractionAtLeast(std::uint64_t value) const
-{
-    if (count_ == 0)
-        return 0.0;
-    const std::size_t first = static_cast<std::size_t>(value / bucketWidth_);
-    std::uint64_t n = 0;
-    for (std::size_t i = first; i < counts_.size(); ++i)
-        n += counts_[i];
-    return static_cast<double>(n) / static_cast<double>(count_);
-}
-
 } // namespace spburst

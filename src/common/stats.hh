@@ -6,7 +6,7 @@
  * (no virtual dispatch on increment). This header provides the glue that
  * turns those structs into reportable name/value collections, plus the
  * aggregation helpers used by the benchmark harnesses (geometric mean,
- * ratios, simple histograms).
+ * mean, ratios).
  */
 
 #pragma once
@@ -107,42 +107,5 @@ double mean(const std::vector<double> &values);
 
 /** Safe ratio: returns @p ifZero when the denominator is zero. */
 double ratio(double num, double den, double ifZero = 0.0);
-
-/**
- * Fixed-bucket histogram for distribution statistics (e.g. burst
- * lengths, SB occupancy).
- */
-class Histogram
-{
-  public:
-    /** Create with @p buckets buckets covering [0, max); last bucket
-     *  also absorbs out-of-range samples. */
-    Histogram(std::size_t buckets, std::uint64_t max);
-
-    /** Record one sample. */
-    void sample(std::uint64_t value);
-
-    /** Number of samples recorded. */
-    std::uint64_t count() const { return count_; }
-
-    /** Sum of all samples. */
-    std::uint64_t sum() const { return sum_; }
-
-    /** Mean of samples (0 if empty). */
-    double average() const;
-
-    /** Raw bucket counts. */
-    const std::vector<std::uint64_t> &buckets() const { return counts_; }
-
-    /** Fraction of samples whose bucket starts at or above @p value. */
-    double fractionAtLeast(std::uint64_t value) const;
-
-  private:
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t bucketWidth_;
-    std::uint64_t max_;
-    std::uint64_t count_ = 0;
-    std::uint64_t sum_ = 0;
-};
 
 } // namespace spburst

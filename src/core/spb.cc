@@ -31,9 +31,10 @@ computeBackwardBurst(Addr addr)
 
 SpbDetector::SpbDetector(const SpbParams &params) : params_(params)
 {
-    SPB_ASSERT(params.checkInterval >= 2,
-               "SPB check interval N must be at least 2 (got %u)",
-               params.checkInterval);
+    if (params.checkInterval < 2) {
+        SPB_FATAL("SPB check interval N must be at least 2 (got %u)",
+                  params.checkInterval);
+    }
 }
 
 SpbDetectorState

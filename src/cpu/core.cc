@@ -75,97 +75,182 @@ CoreStats::toStatSet() const
     return s;
 }
 
+namespace
+{
+
+/** One thread's share of a statically partitioned structure: all of it
+ *  on a single-threaded core, else an equal split with a floor. */
+unsigned
+perThreadShare(unsigned total, unsigned threads, unsigned floor)
+{
+    return threads == 1 ? total : std::max(floor, total / threads);
+}
+
+} // namespace
+
 Core::Core(const CoreConfig &config, int core_id, SimClock *clock,
-           CacheController *l1d, TraceSource *trace)
+           CacheController *l1d, const std::vector<TraceSource *> &traces)
     : config_(config),
       p_(config.params),
       coreId_(core_id),
       clock_(clock),
-      l1d_(l1d),
-      trace_(trace),
-      rng_(0xc0ffee ^ (static_cast<std::uint64_t>(core_id) << 32)),
-      sb_(config.idealSb ? 1024 : config.params.sqSize, l1d, core_id),
-      dtlb_(config.params.tlb),
-      intRegsFree_(config.params.intRegs),
-      fpRegsFree_(config.params.fpRegs)
+      l1d_(l1d)
 {
-    SPB_ASSERT(clock != nullptr && trace != nullptr,
-               "core needs a clock and a trace");
-    rob_.reset(p_.robSize);
-    fetchPipe_.reset(p_.fetchBufferUops);
+    const unsigned nt = static_cast<unsigned>(traces.size());
+    SPB_ASSERT(clock != nullptr, "core needs a clock");
+    SPB_ASSERT(nt >= 1 && nt <= kMaxThreads,
+               "bad hardware thread count %u", nt);
+    robPerThread_ = perThreadShare(p_.robSize, nt, 4);
+    lqPerThread_ = perThreadShare(p_.lqSize, nt, 2);
+    fetchBufferPerThread_ = perThreadShare(p_.fetchBufferUops, nt, 4);
+    const unsigned sb_entries =
+        config_.idealSb ? 1024 : perThreadShare(p_.sqSize, nt, 1);
     const StorePrefetchPolicy policy =
         config_.idealSb ? StorePrefetchPolicy::AtCommit : config_.policy;
-    sb_.setPrefetchAtCommit(policy == StorePrefetchPolicy::AtCommit);
-    sb_.setCoalescing(config_.coalescingSb);
-    if (config_.useSpb) {
-        spb_ = std::make_unique<SpbEngine>(config_.spb, l1d_, coreId_);
-        sb_.setSpbEngine(spb_.get());
+
+    ctx_.reserve(nt);
+    for (unsigned tid = 0; tid < nt; ++tid) {
+        SPB_ASSERT(traces[tid] != nullptr, "core needs a trace per thread");
+        // Thread 0 keeps the single-threaded seed; others mix in their id.
+        const std::uint64_t seed =
+            0xc0ffee ^ (static_cast<std::uint64_t>(core_id) << 32) ^
+            (tid * 0x9e3779b97f4a7c15ull);
+        auto t = std::make_unique<Thread>(static_cast<int>(tid),
+                                          traces[tid], seed, sb_entries,
+                                          l1d_, coreId_, p_.tlb);
+        t->rob.reset(robPerThread_);
+        t->fetchPipe.reset(fetchBufferPerThread_);
+        t->intRegsFree = perThreadShare(p_.intRegs, nt, 8);
+        t->fpRegsFree = perThreadShare(p_.fpRegs, nt, 8);
+        t->sb.setPrefetchAtCommit(policy == StorePrefetchPolicy::AtCommit);
+        t->sb.setCoalescing(config_.coalescingSb);
+        if (config_.useSpb) {
+            t->spb = std::make_unique<SpbEngine>(config_.spb, l1d_, coreId_);
+            t->sb.setSpbEngine(t->spb.get());
+        }
+        ctx_.push_back(std::move(t));
     }
+}
+
+Core::Core(const CoreConfig &config, int core_id, SimClock *clock,
+           CacheController *l1d, TraceSource *trace)
+    : Core(config, core_id, clock, l1d, std::vector<TraceSource *>{trace})
+{
+}
+
+void
+Core::setEventLog(check::EventLog *log)
+{
+    eventLog_ = log;
+    for (auto &t : ctx_)
+        t->sb.setEventLog(log, t->tid, clock_);
+}
+
+std::uint64_t
+Core::minCommitted() const
+{
+    std::uint64_t least = ctx_[0]->stats.committedUops;
+    for (const auto &t : ctx_)
+        least = std::min(least, t->stats.committedUops);
+    return least;
+}
+
+template <typename Slot>
+unsigned
+Core::roundRobin(unsigned width, Slot &&slot)
+{
+    const int nt = threads();
+    std::uint32_t live = (1u << nt) - 1; // threads that may progress
+    unsigned used = 0;
+    while (used < width && live != 0) {
+        for (int k = 0; k < nt && used < width; ++k) {
+            const int tid = rotate_ + k < nt ? rotate_ + k : rotate_ + k - nt;
+            if ((live >> tid & 1u) == 0)
+                continue;
+            if (slot(*ctx_[tid]))
+                ++used;
+            else
+                live &= ~(1u << tid);
+        }
+    }
+    return used;
 }
 
 // spburst-lint: ff(tick)
 void
 Core::tick()
 {
-    ++stats_.cycles;
-    // Stage gates: each stage runs only when it provably has work.
-    // Timer completions exist only while execPending_ > 0, and a
-    // completed-unrecovered mispredicted branch never survives a tick
-    // (the recovery scan runs in the same tick that completes it), so
-    // completeAndRecover has nothing to do once execPending_ is 0 —
-    // memory completions mark entries completed directly. The
-    // nextTimerCycle_ lower bound additionally skips the scan while
-    // every pending timer is still in the future (branches only
-    // complete by timer, so no recovery can be missed either).
-    if (execPending_ != 0 && clock_->now >= nextTimerCycle_)
-        completeAndRecover();
-    if (!rob_.empty() &&
-        (rob_.flags(0) & robflags::kCompleted) != 0)
-        commitStage();
+    const Cycle now = clock_->now;
+    for (auto &tp : ctx_) {
+        Thread &t = *tp;
+        ++t.stats.cycles;
+        // Timer completions exist only while execPending > 0, and a
+        // completed-unrecovered mispredicted branch never survives a
+        // tick (the recovery scan runs in the same tick that completes
+        // it), so completeAndRecover has nothing to do once
+        // execPending is 0 — memory completions mark entries completed
+        // directly. The nextTimerCycle lower bound additionally skips
+        // the scan while every pending timer is still in the future
+        // (branches only complete by timer, so no recovery can be
+        // missed either).
+        if (t.execPending != 0 && now >= t.nextTimerCycle)
+            completeAndRecover(t);
+    }
+    commitStage();
     issueStage();
-    if (!fetchPipe_.empty())
-        dispatchStage();
-    if (fetchPipe_.size() < p_.fetchBufferUops)
-        fetchStage();
-    sb_.tick(clock_->now);
+    dispatchStage();
+    fetchStage();
+    for (auto &t : ctx_)
+        t->sb.tick(now);
+    if (++rotate_ == threads())
+        rotate_ = 0;
 }
 
 bool
 Core::quiescent() const
 {
+    for (const auto &t : ctx_)
+        if (!threadQuiescent(*t))
+            return false;
+    return true;
+}
+
+bool
+Core::threadQuiescent(const Thread &t) const
+{
     // Something completes by timer.
-    if (execPending_ != 0)
+    if (t.execPending != 0)
         return false;
     // Fetch would make progress (an exhausted fetch budget blocks
     // correct-path fetch, but never wrong-path synthesis).
-    if (fetchPipe_.size() < p_.fetchBufferUops &&
-        (wrongPathMode_ || fetchBudget_ != 0))
+    if (t.fetchPipe.size() < fetchBufferPerThread_ &&
+        (t.wrongPathMode || t.fetchBudget != 0))
         return false;
     // Commit would make progress.
-    if (!rob_.empty() && (rob_.flags(0) & robflags::kCompleted) != 0)
+    if (!t.rob.empty() && (t.rob.flags(0) & robflags::kCompleted) != 0)
         return false;
     // Dispatch would make progress — either the head is still
     // traversing the front end (it matures at a known future cycle) or
     // no resource blocks it. With the fetch budget exhausted the pipe
     // can be empty; dispatch then has no work at all.
-    if (!fetchPipe_.empty()) {
-        const FetchedUop &f = fetchPipe_.front();
+    if (!t.fetchPipe.empty()) {
+        const FetchedUop &f = t.fetchPipe.front();
         if (clock_->now < f.fetchCycle + p_.frontEndDepth)
             return false;
-        if (dispatchBlocker(f) == StallResource::None)
+        if (dispatchBlocker(t, f) == StallResource::None)
             return false;
     }
     // The SB head would start a drain.
-    if (!sb_.quiescent())
+    if (!t.sb.quiescent())
         return false;
     // Issue would make progress (O(ROB) scan, gated behind the cheap
     // checks above; completions that could wake these entries arrive
-    // only via memory events once execPending_ is 0).
-    if (iqCount_ != 0) {
-        const std::size_t n = rob_.size();
+    // only via memory events once execPending is 0).
+    if (t.iqCount != 0) {
+        const std::size_t n = t.rob.size();
         for (std::size_t i = 0; i < n; ++i) {
-            if ((rob_.flags(i) & robflags::kInIq) != 0 &&
-                sourcesReady(i))
+            if ((t.rob.flags(i) & robflags::kInIq) != 0 &&
+                sourcesReady(t, i))
                 return false;
         }
     }
@@ -177,57 +262,64 @@ void
 Core::skipQuiescentCycles(Cycle n)
 {
     const Cycle now = clock_->now; // skipped ticks: now+1 .. now+n
-    stats_.cycles += n;
-    if (!rob_.empty()) {
-        stats_.noIssueCycles += n;
-        // The exec-stall condition (an outstanding correct-path L1D
-        // load older than the hit latency) is time-dependent: it can
-        // become true mid-skip, at minIssuedAt + hitLatency + 1.
-        if (memPendingCount_ != 0) {
-            Cycle min_issued = kNeverCycle;
-            const std::size_t sz = rob_.size();
-            for (std::size_t i = 0; i < sz; ++i) {
-                constexpr std::uint8_t want = robflags::kMemPending;
-                constexpr std::uint8_t care =
-                    robflags::kMemPending | robflags::kWrongPath;
-                if ((rob_.flags(i) & care) == want &&
-                    rob_.issuedAt(i) < min_issued) {
-                    min_issued = rob_.issuedAt(i);
+    for (auto &tp : ctx_) {
+        Thread &t = *tp;
+        t.stats.cycles += n;
+        if (!t.rob.empty()) {
+            t.stats.noIssueCycles += n;
+            // The exec-stall condition (an outstanding correct-path L1D
+            // load older than the hit latency) is time-dependent: it
+            // can become true mid-skip, at minIssuedAt + hitLatency + 1.
+            if (t.memPendingCount != 0) {
+                Cycle min_issued = kNeverCycle;
+                const std::size_t sz = t.rob.size();
+                for (std::size_t i = 0; i < sz; ++i) {
+                    constexpr std::uint8_t want = robflags::kMemPending;
+                    constexpr std::uint8_t care =
+                        robflags::kMemPending | robflags::kWrongPath;
+                    if ((t.rob.flags(i) & care) == want &&
+                        t.rob.issuedAt(i) < min_issued) {
+                        min_issued = t.rob.issuedAt(i);
+                    }
                 }
-            }
-            if (min_issued != kNeverCycle) {
-                const Cycle t0 = min_issued + kL1HitLatency + 1;
-                const Cycle last = now + n;
-                if (last >= t0) {
-                    const Cycle from = std::max(now + 1, t0);
-                    stats_.execStallL1dPending += last - from + 1;
+                if (min_issued != kNeverCycle) {
+                    const Cycle t0 = min_issued + kL1HitLatency + 1;
+                    const Cycle last = now + n;
+                    if (last >= t0) {
+                        const Cycle from = std::max(now + 1, t0);
+                        t.stats.execStallL1dPending += last - from + 1;
+                    }
                 }
             }
         }
-    }
-    // Quiescence guarantees a mature, resource-blocked dispatch head —
-    // unless the fetch budget ran out and the pipe is empty (sampling
-    // drain), in which case a tick would accrue no dispatch stall.
-    if (!fetchPipe_.empty()) {
-        const StallResource blocker =
-            dispatchBlocker(fetchPipe_.front());
-        SPB_ASSERT(blocker != StallResource::None,
-                   "skipQuiescentCycles on a dispatchable core");
-        stats_.dispatchStalls[static_cast<int>(blocker)] += n;
-        if (blocker == StallResource::Sb) {
-            stats_.sbStallsByRegion[static_cast<int>(sb_.headRegion())] +=
-                n;
+        // Quiescence guarantees a mature, resource-blocked dispatch
+        // head — unless the fetch budget ran out and the pipe is empty
+        // (sampling drain), in which case a tick would accrue no
+        // dispatch stall.
+        if (!t.fetchPipe.empty()) {
+            const StallResource blocker =
+                dispatchBlocker(t, t.fetchPipe.front());
+            SPB_ASSERT(blocker != StallResource::None,
+                       "skipQuiescentCycles on a dispatchable core");
+            t.stats.dispatchStalls[static_cast<int>(blocker)] += n;
+            if (blocker == StallResource::Sb) {
+                t.stats.sbStallsByRegion[static_cast<int>(
+                    t.sb.headRegion())] += n;
+            }
         }
+        t.sb.skipCycles(n);
     }
-    sb_.skipCycles(n);
+    rotate_ = static_cast<int>((static_cast<Cycle>(rotate_) + n) %
+                               static_cast<Cycle>(threads()));
 }
 
 bool
 Core::drained() const
 {
-    return fetchPipe_.empty() && rob_.empty() && sb_.size() == 0 &&
-           execPending_ == 0 && memPendingCount_ == 0 &&
-           !wrongPathMode_;
+    const Thread &t = *ctx_[0];
+    return t.fetchPipe.empty() && t.rob.empty() && t.sb.size() == 0 &&
+           t.execPending == 0 && t.memPendingCount == 0 &&
+           !t.wrongPathMode;
 }
 
 void
@@ -235,16 +327,17 @@ Core::restoreWarmState(const TlbSnapshot &tlb,
                        const SpbDetectorState *detector)
 {
     SPB_ASSERT(drained(), "warm-state load into a busy core");
-    dtlb_.restoreEntries(tlb);
-    if (spb_ && detector != nullptr)
-        spb_->restoreDetectorState(*detector);
+    Thread &t = *ctx_[0];
+    t.dtlb.restoreEntries(tlb);
+    if (t.spb && detector != nullptr)
+        t.spb->restoreDetectorState(*detector);
 }
 
 void
-Core::completeAndRecover()
+Core::completeAndRecover(Thread &t)
 {
     const Cycle now = clock_->now;
-    const std::size_t n = rob_.size();
+    const std::size_t n = t.rob.size();
     Cycle next = kNeverCycle;
     std::size_t recover = RobRing::npos;
     // One fused pass: retire due timers, remember the earliest pending
@@ -253,16 +346,16 @@ Core::completeAndRecover()
     // (post-completion) state, so fusing the two historical loops
     // cannot change which branch recovers.
     for (std::size_t i = 0; i < n; ++i) {
-        std::uint8_t f = rob_.flags(i);
+        std::uint8_t f = t.rob.flags(i);
         constexpr std::uint8_t timerCare = robflags::kIssued |
                                            robflags::kCompleted |
                                            robflags::kMemPending;
         if ((f & timerCare) == robflags::kIssued) {
-            const Cycle ready = rob_.readyCycle(i);
+            const Cycle ready = t.rob.readyCycle(i);
             if (ready <= now) {
                 f |= robflags::kCompleted;
-                rob_.flags(i) = f;
-                --execPending_;
+                t.rob.flags(i) = f;
+                --t.execPending;
             } else if (ready < next) {
                 next = ready;
             }
@@ -272,178 +365,191 @@ Core::completeAndRecover()
                                              robflags::kRecovered;
         if (recover == RobRing::npos &&
             (f & recoverCare) == robflags::kCompleted) {
-            const MicroOp &op = rob_.op(i);
+            const MicroOp &op = t.rob.op(i);
             if (op.cls == OpClass::Branch && op.mispredicted)
                 recover = i;
         }
     }
-    nextTimerCycle_ = next;
+    t.nextTimerCycle = next;
     // Mispredict recovery: the oldest resolved, unrecovered branch
     // squashes everything younger and redirects the front end.
     if (recover != RobRing::npos) {
-        rob_.flags(recover) |= robflags::kRecovered;
+        t.rob.flags(recover) |= robflags::kRecovered;
         // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle completes no branch, so no mispredict can accrue while skipping
-        ++stats_.mispredicts;
-        squashAfter(rob_.seqAt(recover));
+        ++t.stats.mispredicts;
+        squashAfter(t, t.rob.seqAt(recover));
     }
 }
 
 void
-Core::squashAfter(SeqNum branch_seq)
+Core::squashAfter(Thread &t, SeqNum branch_seq)
 {
-    while (!rob_.empty() && rob_.backSeq() > branch_seq) {
-        const std::size_t i = rob_.size() - 1;
-        const std::uint8_t f = rob_.flags(i);
-        if (f & robflags::kInIq)
-            --iqCount_;
+    while (!t.rob.empty() && t.rob.backSeq() > branch_seq) {
+        const std::size_t i = t.rob.size() - 1;
+        const std::uint8_t f = t.rob.flags(i);
+        if (f & robflags::kInIq) {
+            --t.iqCount;
+            --iqInUse_;
+        }
         if ((f & (robflags::kIssued | robflags::kCompleted)) ==
             robflags::kIssued) {
             if (f & robflags::kMemPending)
-                --memPendingCount_;
+                --t.memPendingCount;
             else
-                --execPending_;
+                --t.execPending;
         }
-        const MicroOp &op = rob_.op(i);
+        const MicroOp &op = t.rob.op(i);
         if (op.cls == OpClass::Load)
-            --lqCount_;
+            --t.lqCount;
         if (op.hasDest) {
             if (isFloatOp(op.cls))
-                ++fpRegsFree_;
+                ++t.fpRegsFree;
             else
-                ++intRegsFree_;
+                ++t.intRegsFree;
         }
         // spburst-lint: ff-exempt -- event-count stat: squashes only follow branch completions, which a quiescent cycle has none of
-        ++stats_.squashedUops;
-        rob_.popBack();
+        ++t.stats.squashedUops;
+        t.rob.popBack();
     }
-    sb_.squashFrom(branch_seq + 1);
-    fetchPipe_.clear();
-    wrongPathMode_ = false;
+    t.sb.squashFrom(branch_seq + 1);
+    t.fetchPipe.clear();
+    t.wrongPathMode = false;
     // Reuse the squashed uops' sequence numbers: the ROB's seq range
     // must stay contiguous for O(1) lookup. Stale memory callbacks are
     // fended off by the per-entry token.
-    nextSeq_ = branch_seq + 1;
+    t.nextSeq = branch_seq + 1;
 }
 
 void
 Core::commitStage()
 {
-    unsigned n = 0;
-    while (n < p_.commitWidth && !rob_.empty()) {
-        const std::uint8_t f = rob_.flags(0);
-        if (!(f & robflags::kCompleted))
-            break;
-        const SeqNum seq = rob_.frontSeq();
-        SPB_ASSERT(!(f & robflags::kWrongPath),
-                   "wrong-path uop reached commit");
-        SPBURST_CHECK(Pipeline, commitOrder_.observe(seq),
-                      "ROB committed %llu after %llu (out of order)",
-                      static_cast<unsigned long long>(seq),
-                      static_cast<unsigned long long>(
-                          commitOrder_.last()));
-        const MicroOp &op = rob_.op(0);
-        switch (op.cls) {
-          case OpClass::Store:
-            sb_.markSenior(seq);
-            // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle commits nothing
-            ++stats_.committedStores;
-            break;
-          case OpClass::Load:
-            --lqCount_;
-            // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle commits nothing
-            ++stats_.committedLoads;
-            break;
-          case OpClass::Branch:
-            // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle commits nothing
-            ++stats_.committedBranches;
-            break;
-          default:
-            break;
-        }
-        if (op.hasDest) {
-            if (isFloatOp(op.cls))
-                ++fpRegsFree_;
-            else
-                ++intRegsFree_;
-        }
+    roundRobin(p_.commitWidth, [this](Thread &t) { return commitOne(t); });
+}
+
+bool
+Core::commitOne(Thread &t)
+{
+    if (t.rob.empty())
+        return false;
+    const std::uint8_t f = t.rob.flags(0);
+    if (!(f & robflags::kCompleted))
+        return false;
+    const SeqNum seq = t.rob.frontSeq();
+    SPB_ASSERT(!(f & robflags::kWrongPath), "wrong-path uop reached commit");
+    SPBURST_CHECK(Pipeline, t.commitOrder.observe(seq),
+                  "ROB committed %llu after %llu (out of order)",
+                  static_cast<unsigned long long>(seq),
+                  static_cast<unsigned long long>(t.commitOrder.last()));
+    const MicroOp &op = t.rob.op(0);
+    switch (op.cls) {
+      case OpClass::Store:
+        t.sb.markSenior(seq);
         // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle commits nothing
-        ++stats_.committedUops;
-        rob_.popFront();
-        ++n;
+        ++t.stats.committedStores;
+        break;
+      case OpClass::Load:
+        --t.lqCount;
+        // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle commits nothing
+        ++t.stats.committedLoads;
+        break;
+      case OpClass::Branch:
+        // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle commits nothing
+        ++t.stats.committedBranches;
+        break;
+      default:
+        break;
     }
+    if (op.hasDest) {
+        if (isFloatOp(op.cls))
+            ++t.fpRegsFree;
+        else
+            ++t.intRegsFree;
+    }
+    // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle commits nothing
+    ++t.stats.committedUops;
+    t.rob.popFront();
+    return true;
 }
 
 void
-Core::startLoad(std::size_t i)
+Core::startLoad(Thread &t, std::size_t i)
 {
     const Cycle now = clock_->now;
-    const MicroOp &op = rob_.op(i);
-    const SeqNum seq = rob_.seqAt(i);
+    const MicroOp &op = t.rob.op(i);
+    const SeqNum seq = t.rob.seqAt(i);
     // Address generation includes translation: a DTLB miss delays the
     // access by the page-walk latency.
-    const Cycle walk = dtlb_.access(op.addr);
-    if (sb_.forwards(seq, op.addr, op.size) != kInvalidSeqNum) {
-        rob_.readyCycle(i) = now + walk + kL1HitLatency; // fwd ~ L1 hit
+    const Cycle walk = t.dtlb.access(op.addr);
+    const SeqNum fwd = t.sb.forwards(seq, op.addr, op.size);
+    if (fwd != kInvalidSeqNum) {
+        t.rob.readyCycle(i) = now + walk + kL1HitLatency; // fwd ~ L1 hit
+        recordLoadObserved(t, i, t.rob.readyCycle(i), fwd);
         return;
     }
     if (!l1d_) {
         // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle issues no loads
-        ++stats_.loadsToL1;
-        rob_.readyCycle(i) = now + walk + kL1HitLatency; // detached mode
+        ++t.stats.loadsToL1;
+        t.rob.readyCycle(i) = now + walk + kL1HitLatency; // detached mode
+        recordLoadObserved(t, i, t.rob.readyCycle(i), kInvalidSeqNum);
         return;
     }
-    rob_.flags(i) |= robflags::kMemPending;
-    ++memPendingCount_;
-    const std::uint64_t token = rob_.token(i);
+    t.rob.flags(i) |= robflags::kMemPending;
+    ++t.memPendingCount;
+    const std::uint64_t token = t.rob.token(i);
     if (walk == 0) {
-        issueLoadToL1(seq, token);
+        issueLoadToL1(t, seq, token);
         return;
     }
-    clock_->events.schedule(now + walk, [this, seq, token] {
-        issueLoadToL1(seq, token);
+    Thread *const tp = &t;
+    clock_->events.schedule(now + walk, [this, tp, seq, token] {
+        issueLoadToL1(*tp, seq, token);
     });
 }
 
 void
-Core::issueLoadToL1(SeqNum seq, std::uint64_t token)
+Core::issueLoadToL1(Thread &t, SeqNum seq, std::uint64_t token)
 {
-    const std::size_t i = rob_.indexOf(seq);
-    if (i == RobRing::npos || rob_.token(i) != token ||
-        !(rob_.flags(i) & robflags::kMemPending))
+    const std::size_t i = t.rob.indexOf(seq);
+    if (i == RobRing::npos || t.rob.token(i) != token ||
+        !(t.rob.flags(i) & robflags::kMemPending))
         return; // squashed while the page walk was in flight
-    ++stats_.loadsToL1;
-    const bool wrong_path = (rob_.flags(i) & robflags::kWrongPath) != 0;
+    // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle issues no loads
+    ++t.stats.loadsToL1;
+    const bool wrong_path = (t.rob.flags(i) & robflags::kWrongPath) != 0;
     if (wrong_path)
         // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle issues no loads
-        ++stats_.wrongPathLoadsIssued;
-    const MicroOp &op = rob_.op(i);
+        ++t.stats.wrongPathLoadsIssued;
+    const MicroOp &op = t.rob.op(i);
     MemRequest req;
     req.cmd = MemCmd::ReadReq;
     req.blockAddr = blockAlign(op.addr);
     req.core = coreId_;
     req.region = op.region;
     req.wrongPath = wrong_path;
-    l1d_->issueLoad(req, [this, seq, token] {
-        const std::size_t j = rob_.indexOf(seq);
-        if (j == RobRing::npos || rob_.token(j) != token ||
-            !(rob_.flags(j) & robflags::kMemPending))
+    Thread *const tp = &t;
+    l1d_->issueLoad(req, [this, tp, seq, token] {
+        Thread &th = *tp;
+        const std::size_t j = th.rob.indexOf(seq);
+        if (j == RobRing::npos || th.rob.token(j) != token ||
+            !(th.rob.flags(j) & robflags::kMemPending))
             return; // squashed (and possibly re-used) in the meantime
-        std::uint8_t &f = rob_.flags(j);
+        std::uint8_t &f = th.rob.flags(j);
         f = static_cast<std::uint8_t>(
             (f & ~robflags::kMemPending) | robflags::kCompleted);
-        --memPendingCount_;
-        rob_.readyCycle(j) = clock_->now;
+        --th.memPendingCount;
+        th.rob.readyCycle(j) = clock_->now;
+        recordLoadObserved(th, j, clock_->now, kInvalidSeqNum);
     });
 }
 
 void
-Core::execStore(std::size_t i)
+Core::execStore(Thread &t, std::size_t i)
 {
-    const MicroOp &op = rob_.op(i);
-    const SeqNum seq = rob_.seqAt(i);
-    sb_.setAddress(seq, op.addr, op.size);
+    const MicroOp &op = t.rob.op(i);
+    const SeqNum seq = t.rob.seqAt(i);
+    t.sb.setAddress(seq, op.addr, op.size);
     // Stores translate at address generation too.
-    rob_.readyCycle(i) = clock_->now + p_.aguLat + dtlb_.access(op.addr);
+    t.rob.readyCycle(i) = clock_->now + p_.aguLat + t.dtlb.access(op.addr);
     const StorePrefetchPolicy policy =
         config_.idealSb ? StorePrefetchPolicy::AtCommit : config_.policy;
     if (policy == StorePrefetchPolicy::AtExecute && l1d_) {
@@ -459,97 +565,130 @@ Core::execStore(std::size_t i)
 }
 
 void
+Core::recordLoadObserved(const Thread &t, std::size_t i, Cycle cycle,
+                         SeqNum forwarded_from)
+{
+    if (!eventLog_ || (t.rob.flags(i) & robflags::kWrongPath))
+        return;
+    check::MemEvent ev;
+    ev.kind = check::MemEvent::Kind::LoadObserved;
+    ev.thread = t.tid;
+    ev.seq = t.rob.seqAt(i);
+    ev.addr = t.rob.op(i).addr;
+    ev.size = t.rob.op(i).size;
+    ev.cycle = cycle;
+    ev.forwardedFrom = forwarded_from;
+    eventLog_->record(ev);
+}
+
+void
 Core::issueStage()
 {
+    // Oldest-first within a thread. No memory callback runs inside
+    // this stage (even an L1D hit completes in a later event), so
+    // nothing a thread's scan has passed can become issuable again
+    // this cycle: each ROB is walked at most once.
+    for (auto &t : ctx_)
+        t->issueScan = 0;
+    FuUse fu;
+    const unsigned issued = roundRobin(
+        p_.issueWidth, [this, &fu](Thread &t) { return issueOne(t, fu); });
+    if (issued != 0)
+        return;
+
     const Cycle now = clock_->now;
-    unsigned issued = 0;
-    unsigned int_used = 0, fp_used = 0, mem_used = 0;
-
-    // Nothing is waiting to issue; skip the ROB scan entirely.
-    if (iqCount_ != 0) {
-        const std::size_t n = rob_.size();
+    for (auto &tp : ctx_) {
+        Thread &t = *tp;
+        if (t.rob.empty())
+            continue;
+        ++t.stats.noIssueCycles;
+        if (t.memPendingCount == 0)
+            continue;
+        const std::size_t n = t.rob.size();
         for (std::size_t i = 0; i < n; ++i) {
-            if (issued >= p_.issueWidth)
+            constexpr std::uint8_t want = robflags::kMemPending;
+            constexpr std::uint8_t care =
+                robflags::kMemPending | robflags::kWrongPath;
+            if ((t.rob.flags(i) & care) == want &&
+                now > t.rob.issuedAt(i) + kL1HitLatency) {
+                ++t.stats.execStallL1dPending;
                 break;
-            if (!(rob_.flags(i) & robflags::kInIq) || !sourcesReady(i))
-                continue;
-            const OpClass cls = rob_.op(i).cls;
-            if (isMemOp(cls)) {
-                if (mem_used >= p_.memPorts)
-                    continue;
-            } else if (isFloatOp(cls)) {
-                if (fp_used >= p_.fpAluCount ||
-                    int_used + fp_used >= p_.intAluCount)
-                    continue;
-            } else {
-                if (int_used + fp_used >= p_.intAluCount)
-                    continue;
-            }
-
-            rob_.flags(i) = static_cast<std::uint8_t>(
-                (rob_.flags(i) & ~robflags::kInIq) | robflags::kIssued);
-            --iqCount_;
-            rob_.issuedAt(i) = now;
-            ++issued;
-            // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle issues nothing (noIssueCycles is accrued instead)
-            ++stats_.issuedUops;
-
-            if (cls == OpClass::Load) {
-                ++mem_used;
-                startLoad(i);
-            } else if (cls == OpClass::Store) {
-                ++mem_used;
-                execStore(i);
-            } else if (isFloatOp(cls)) {
-                ++fp_used;
-                rob_.readyCycle(i) = now + p_.opLatency(cls);
-            } else {
-                ++int_used;
-                rob_.readyCycle(i) = now + p_.opLatency(cls);
-            }
-            // Everything but a load that went to memory completes by
-            // timer; track the earliest such timer for the scan gate.
-            if (!(rob_.flags(i) & robflags::kMemPending)) {
-                ++execPending_;
-                if (rob_.readyCycle(i) < nextTimerCycle_)
-                    nextTimerCycle_ = rob_.readyCycle(i);
-            }
-        }
-    }
-
-    if (issued == 0 && !rob_.empty()) {
-        ++stats_.noIssueCycles;
-        if (memPendingCount_ != 0) {
-            const std::size_t n = rob_.size();
-            for (std::size_t i = 0; i < n; ++i) {
-                constexpr std::uint8_t want = robflags::kMemPending;
-                constexpr std::uint8_t care =
-                    robflags::kMemPending | robflags::kWrongPath;
-                if ((rob_.flags(i) & care) == want &&
-                    now > rob_.issuedAt(i) + kL1HitLatency) {
-                    ++stats_.execStallL1dPending;
-                    break;
-                }
             }
         }
     }
 }
 
-StallResource
-Core::dispatchBlocker(const FetchedUop &f) const
+bool
+Core::issueOne(Thread &t, FuUse &fu)
 {
-    if (rob_.size() >= p_.robSize)
+    const Cycle now = clock_->now;
+    const std::size_t n = t.iqCount != 0 ? t.rob.size() : 0;
+    for (std::size_t i = t.issueScan; i < n; ++i) {
+        if (!(t.rob.flags(i) & robflags::kInIq) || !sourcesReady(t, i))
+            continue;
+        const OpClass cls = t.rob.op(i).cls;
+        if (isMemOp(cls)) {
+            if (fu.mem >= p_.memPorts)
+                continue;
+        } else if (isFloatOp(cls)) {
+            if (fu.fpAlu >= p_.fpAluCount ||
+                fu.intAlu + fu.fpAlu >= p_.intAluCount)
+                continue;
+        } else {
+            if (fu.intAlu + fu.fpAlu >= p_.intAluCount)
+                continue;
+        }
+
+        t.issueScan = i + 1;
+        t.rob.flags(i) = static_cast<std::uint8_t>(
+            (t.rob.flags(i) & ~robflags::kInIq) | robflags::kIssued);
+        --t.iqCount;
+        --iqInUse_;
+        t.rob.issuedAt(i) = now;
+        // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle issues nothing (noIssueCycles is accrued instead)
+        ++t.stats.issuedUops;
+
+        if (cls == OpClass::Load) {
+            ++fu.mem;
+            startLoad(t, i);
+        } else if (cls == OpClass::Store) {
+            ++fu.mem;
+            execStore(t, i);
+        } else if (isFloatOp(cls)) {
+            ++fu.fpAlu;
+            t.rob.readyCycle(i) = now + p_.opLatency(cls);
+        } else {
+            ++fu.intAlu;
+            t.rob.readyCycle(i) = now + p_.opLatency(cls);
+        }
+        // Everything but a load that went to memory completes by
+        // timer; track the earliest such timer for the scan gate.
+        if (!(t.rob.flags(i) & robflags::kMemPending)) {
+            ++t.execPending;
+            if (t.rob.readyCycle(i) < t.nextTimerCycle)
+                t.nextTimerCycle = t.rob.readyCycle(i);
+        }
+        return true;
+    }
+    t.issueScan = n;
+    return false;
+}
+
+StallResource
+Core::dispatchBlocker(const Thread &t, const FetchedUop &f) const
+{
+    if (t.rob.size() >= robPerThread_)
         return StallResource::Rob;
-    if (iqCount_ >= p_.iqSize)
+    if (iqInUse_ >= p_.iqSize)
         return StallResource::Iq;
-    if (f.op.cls == OpClass::Load && lqCount_ >= p_.lqSize)
+    if (f.op.cls == OpClass::Load && t.lqCount >= lqPerThread_)
         return StallResource::Lq;
-    if (f.op.cls == OpClass::Store && sb_.full())
+    if (f.op.cls == OpClass::Store && t.sb.full())
         return StallResource::Sb;
     if (f.op.hasDest) {
-        if (isFloatOp(f.op.cls) && fpRegsFree_ == 0)
+        if (isFloatOp(f.op.cls) && t.fpRegsFree == 0)
             return StallResource::Regs;
-        if (!isFloatOp(f.op.cls) && intRegsFree_ == 0)
+        if (!isFloatOp(f.op.cls) && t.intRegsFree == 0)
             return StallResource::Regs;
     }
     return StallResource::None;
@@ -558,68 +697,76 @@ Core::dispatchBlocker(const FetchedUop &f) const
 void
 Core::dispatchStage()
 {
-    const Cycle now = clock_->now;
-    unsigned dispatched = 0;
-    while (dispatched < p_.dispatchWidth && !fetchPipe_.empty()) {
-        FetchedUop &f = fetchPipe_.front();
-        if (now < f.fetchCycle + p_.frontEndDepth)
-            break; // still traversing the front end
-        const StallResource blocker = dispatchBlocker(f);
-        if (blocker != StallResource::None) {
-            if (dispatched == 0) {
-                ++stats_.dispatchStalls[static_cast<int>(blocker)];
-                if (blocker == StallResource::Sb) {
-                    ++stats_.sbStallsByRegion[static_cast<int>(
-                        sb_.headRegion())];
-                }
-            }
-            break;
-        }
+    for (auto &t : ctx_)
+        t->dispatched = 0;
+    roundRobin(p_.dispatchWidth,
+               [this](Thread &t) { return dispatchOne(t); });
+}
 
-        const SeqNum seq = nextSeq_++;
-        const std::size_t i = rob_.pushBack(seq, nextToken_++);
-        rob_.op(i) = f.op;
-        rob_.flags(i) = static_cast<std::uint8_t>(
-            robflags::kInIq |
-            (f.wrongPath ? robflags::kWrongPath : 0));
-        auto to_seq = [seq](std::uint8_t dist) {
-            return dist == 0 || seq <= dist ? kInvalidSeqNum
-                                            : seq - dist;
-        };
-        rob_.src1(i) = to_seq(f.op.srcDist1);
-        rob_.src2(i) = to_seq(f.op.srcDist2);
-        ++iqCount_;
-        if (f.op.cls == OpClass::Load)
-            ++lqCount_;
-        if (f.op.cls == OpClass::Store)
-            sb_.allocate(seq, f.op.region, f.wrongPath);
-        if (f.op.hasDest) {
-            if (isFloatOp(f.op.cls))
-                --fpRegsFree_;
-            else
-                --intRegsFree_;
+bool
+Core::dispatchOne(Thread &t)
+{
+    if (t.fetchPipe.empty())
+        return false;
+    FetchedUop &f = t.fetchPipe.front();
+    if (clock_->now < f.fetchCycle + p_.frontEndDepth)
+        return false; // still traversing the front end
+    const StallResource blocker = dispatchBlocker(t, f);
+    if (blocker != StallResource::None) {
+        // A thread is charged only in a cycle it dispatched nothing.
+        if (t.dispatched == 0) {
+            ++t.stats.dispatchStalls[static_cast<int>(blocker)];
+            if (blocker == StallResource::Sb) {
+                ++t.stats.sbStallsByRegion[static_cast<int>(
+                    t.sb.headRegion())];
+            }
         }
-        fetchPipe_.popFront();
-        ++dispatched;
+        return false;
     }
+
+    const SeqNum seq = t.nextSeq++;
+    const std::size_t i = t.rob.pushBack(seq, t.nextToken++);
+    t.rob.op(i) = f.op;
+    t.rob.flags(i) = static_cast<std::uint8_t>(
+        robflags::kInIq | (f.wrongPath ? robflags::kWrongPath : 0));
+    auto to_seq = [seq](std::uint8_t dist) {
+        return dist == 0 || seq <= dist ? kInvalidSeqNum : seq - dist;
+    };
+    t.rob.src1(i) = to_seq(f.op.srcDist1);
+    t.rob.src2(i) = to_seq(f.op.srcDist2);
+    ++t.iqCount;
+    ++iqInUse_;
+    if (f.op.cls == OpClass::Load)
+        ++t.lqCount;
+    if (f.op.cls == OpClass::Store)
+        t.sb.allocate(seq, f.op.region, f.wrongPath);
+    if (f.op.hasDest) {
+        if (isFloatOp(f.op.cls))
+            --t.fpRegsFree;
+        else
+            --t.intRegsFree;
+    }
+    t.fetchPipe.popFront();
+    ++t.dispatched;
+    return true;
 }
 
 MicroOp
-Core::synthesizeWrongPath()
+Core::synthesizeWrongPath(Thread &t)
 {
-    const std::uint64_t r = rng_.below(100);
-    const std::uint64_t pc = 0x00660000 + rng_.below(64) * 4;
+    const std::uint64_t r = t.rng.below(100);
+    const std::uint64_t pc = 0x00660000 + t.rng.below(64) * 4;
     if (r < 55)
         return uops::alu(pc, 1);
     // Wrong-path memory ops wander around the recently touched data
     // (+-1 MiB): close enough to pollute the caches, too scattered to
     // act as a useful prefetcher for the correct path.
-    auto wander = [this] {
+    auto wander = [&t] {
         const Addr span = 2ULL << 20;
-        const Addr off = rng_.below(span);
-        const Addr base = lastDataAddr_ > (span / 2)
-                              ? lastDataAddr_ - span / 2
-                              : lastDataAddr_;
+        const Addr off = t.rng.below(span);
+        const Addr base = t.lastDataAddr > (span / 2)
+                              ? t.lastDataAddr - span / 2
+                              : t.lastDataAddr;
         return (base + off) & ~Addr{7};
     };
     if (r < 80)
@@ -632,32 +779,36 @@ Core::synthesizeWrongPath()
 void
 Core::fetchStage()
 {
-    const Cycle now = clock_->now;
-    for (unsigned i = 0;
-         i < p_.fetchWidth && fetchPipe_.size() < p_.fetchBufferUops;
-         ++i) {
-        FetchedUop f;
-        f.fetchCycle = now;
-        f.wrongPath = wrongPathMode_;
-        if (wrongPathMode_) {
-            f.op = synthesizeWrongPath();
-            // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle fetches nothing
-            ++stats_.wrongPathFetched;
-        } else {
-            if (fetchBudget_ == 0)
-                break;
-            if (fetchBudget_ != kUnlimitedFetchBudget)
-                --fetchBudget_;
-            f.op = trace_->next();
-            if (isMemOp(f.op.cls))
-                lastDataAddr_ = f.op.addr;
-            if (f.op.cls == OpClass::Branch && f.op.mispredicted)
-                wrongPathMode_ = true;
-        }
+    roundRobin(p_.fetchWidth, [this](Thread &t) { return fetchOne(t); });
+}
+
+bool
+Core::fetchOne(Thread &t)
+{
+    if (t.fetchPipe.size() >= fetchBufferPerThread_)
+        return false;
+    FetchedUop f;
+    f.fetchCycle = clock_->now;
+    f.wrongPath = t.wrongPathMode;
+    if (t.wrongPathMode) {
+        f.op = synthesizeWrongPath(t);
         // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle fetches nothing
-        ++stats_.fetchedUops;
-        fetchPipe_.pushBack(std::move(f));
+        ++t.stats.wrongPathFetched;
+    } else {
+        if (t.fetchBudget == 0)
+            return false;
+        if (t.fetchBudget != kUnlimitedFetchBudget)
+            --t.fetchBudget;
+        f.op = t.trace->next();
+        if (isMemOp(f.op.cls))
+            t.lastDataAddr = f.op.addr;
+        if (f.op.cls == OpClass::Branch && f.op.mispredicted)
+            t.wrongPathMode = true;
     }
+    // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle fetches nothing
+    ++t.stats.fetchedUops;
+    t.fetchPipe.pushBack(std::move(f));
+    return true;
 }
 
 } // namespace spburst

@@ -1,6 +1,6 @@
 /**
  * @file
- * Cycle-level out-of-order core.
+ * Cycle-level out-of-order core with one or more hardware threads.
  *
  * The core is trace-driven: a TraceSource supplies the committed
  * (correct-path) micro-op stream; the core adds the micro-architectural
@@ -13,6 +13,16 @@
  * mispredicted branch and its resolution (wrong-path loads really
  * access the L1D; wrong-path stores really occupy SB entries — the
  * at-execute policy really prefetches for them).
+ *
+ * Simultaneous multithreading (paper Sec. I): the core runs one
+ * hardware context per trace source. The contexts share the pipeline
+ * widths, the issue queue, the functional units, the memory ports and
+ * the L1D under round-robin thread priority, while the ROB, load
+ * queue, physical registers, fetch buffer and (crucially) the store
+ * buffer are statically partitioned per thread, as in Intel's
+ * implementation (optimization manual Sec. 2.6.9). Each context has
+ * its own DTLB and SPB engine: the 67-bit detector is cheap enough to
+ * replicate. With a single context every share is the whole structure.
  */
 
 #pragma once
@@ -20,7 +30,9 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <vector>
 
+#include "check/event_log.hh"
 #include "check/invariants.hh"
 #include "common/clock.hh"
 #include "common/rng.hh"
@@ -117,19 +129,32 @@ struct CoreConfig
     bool coalescingSb = false;
 };
 
-/** One out-of-order core. */
+/** One out-of-order core running one or more hardware threads. */
 class Core
 {
   public:
+    /** Most hardware threads one core runs (SMT-1/2/4 in the paper). */
+    static constexpr int kMaxThreads = 8;
+
     /**
-     * @param config Core configuration.
+     * @param config  Core configuration; queue sizes are the whole
+     *                core's (Table I) and are partitioned per thread.
      * @param core_id Core index within the system.
-     * @param clock  Shared clock.
-     * @param l1d    This core's L1D controller.
-     * @param trace  Correct-path uop stream (not owned).
+     * @param clock   Shared clock.
+     * @param l1d     This core's L1D controller, shared by its threads.
+     * @param traces  One correct-path uop stream per hardware thread
+     *                (not owned); their count is the thread count.
      */
     Core(const CoreConfig &config, int core_id, SimClock *clock,
+         CacheController *l1d, const std::vector<TraceSource *> &traces);
+
+    /** Single-threaded core over @p trace. */
+    Core(const CoreConfig &config, int core_id, SimClock *clock,
          CacheController *l1d, TraceSource *trace);
+
+    // Scheduled callbacks hold the core's address.
+    Core(const Core &) = delete;
+    Core &operator=(const Core &) = delete;
 
     /** Simulate one cycle (memory events for the cycle already ran). */
     // spburst-lint: hot
@@ -137,21 +162,26 @@ class Core
 
     /**
      * True when tick() provably could not change architectural or
-     * micro-architectural state this cycle — every stage is blocked on
-     * an in-flight memory event, so a tick would only accrue per-cycle
-     * stall/occupancy statistics. The system uses this to fast-forward
-     * straight to the next scheduled event.
+     * micro-architectural state this cycle — every stage of every
+     * thread is blocked on an in-flight memory event, so a tick would
+     * only accrue per-cycle stall/occupancy statistics. The system
+     * uses this to fast-forward straight to the next scheduled event.
      */
     bool quiescent() const;
 
     /**
      * Account @p n skipped quiescent cycles (the ticks that would have
      * run at cycles now+1 .. now+n). Replicates exactly the statistics
-     * a quiescent tick() accrues: cycles, no-issue and exec-stall
-     * cycles, dispatch-stall attribution, and SB occupancy. Only valid
-     * when quiescent() holds and no event fires in the skipped range.
+     * a quiescent tick() accrues on every thread: cycles, no-issue and
+     * exec-stall cycles, dispatch-stall attribution, and SB occupancy;
+     * the round-robin priority advances as n ticks would advance it.
+     * Only valid when quiescent() holds and no event fires in the
+     * skipped range.
      */
     void skipQuiescentCycles(Cycle n);
+
+    // Sampling drives single-threaded cores: the next four calls act
+    // on thread 0.
 
     /**
      * Cap correct-path fetch at @p uops more trace uops (sampling:
@@ -161,12 +191,12 @@ class Core
      * default budget is unlimited, which leaves every non-sampled code
      * path untouched.
      */
-    void setFetchBudget(std::uint64_t uops) { fetchBudget_ = uops; }
+    void setFetchBudget(std::uint64_t uops) { ctx_[0]->fetchBudget = uops; }
 
     /** Remaining correct-path fetch budget. */
-    std::uint64_t fetchBudget() const { return fetchBudget_; }
+    std::uint64_t fetchBudget() const { return ctx_[0]->fetchBudget; }
 
-    /** True when the core holds no in-flight work at all: front-end
+    /** True when the thread holds no in-flight work at all: front-end
      *  pipe, ROB and SB empty, nothing pending in the memory system.
      *  With an exhausted fetch budget this is the end-of-window state
      *  the sampling loop waits for. */
@@ -178,86 +208,168 @@ class Core
     void restoreWarmState(const TlbSnapshot &tlb,
                           const SpbDetectorState *detector);
 
-    std::uint64_t committed() const { return stats_.committedUops; }
-    const CoreStats &stats() const { return stats_; }
-    const StoreBuffer &storeBuffer() const { return sb_; }
-    const Tlb &dtlb() const { return dtlb_; }
-    const SpbEngine *spbEngine() const { return spb_.get(); }
+    /** Hardware thread count. */
+    int threads() const { return static_cast<int>(ctx_.size()); }
+
+    // Per-thread views; @p tid defaults to thread 0, and the accessors
+    // without one read thread 0.
+    std::uint64_t
+    committed(int tid = 0) const
+    {
+        return ctx_[tid]->stats.committedUops;
+    }
+
+    /** Smallest committed count over threads (run-completion check). */
+    std::uint64_t minCommitted() const;
+
+    const CoreStats &stats(int tid = 0) const { return ctx_[tid]->stats; }
+    const StoreBuffer &
+    storeBuffer(int tid = 0) const
+    {
+        return ctx_[tid]->sb;
+    }
+    const Tlb &dtlb() const { return ctx_[0]->dtlb; }
+    const SpbEngine *spbEngine() const { return ctx_[0]->spb.get(); }
     const CoreConfig &config() const { return config_; }
 
-    /** Effective SB capacity (after the ideal-SB override). */
-    unsigned effectiveSbSize() const { return sb_.capacity(); }
+    /** Effective per-thread SB capacity (after partitioning and the
+     *  ideal-SB override). */
+    unsigned effectiveSbSize() const { return ctx_[0]->sb.capacity(); }
+
+    /**
+     * Attach a litmus event log: store drains and load completions of
+     * every hardware thread are recorded as globally ordered MemEvents
+     * (used by tests/litmus/; null in normal runs).
+     */
+    void setEventLog(check::EventLog *log);
 
   private:
+    /** One hardware thread's private state. Built once by the
+     *  constructor and never moved: SB and load callbacks hold its
+     *  address. */
+    struct Thread
+    {
+        Thread(int id, TraceSource *source, std::uint64_t rng_seed,
+               unsigned sb_entries, CacheController *l1d, int core_id,
+               const TlbParams &tlb_params)
+            : tid(id), trace(source), rng(rng_seed),
+              sb(sb_entries, l1d, core_id), dtlb(tlb_params)
+        {
+        }
+        Thread(const Thread &) = delete;
+        Thread &operator=(const Thread &) = delete;
+
+        int tid; //!< index within the core
+        TraceSource *trace;
+        Rng rng; //!< wrong-path synthesis
+        FetchRing fetchPipe;
+        RobRing rob;
+        StoreBuffer sb;
+        Tlb dtlb;
+        std::unique_ptr<SpbEngine> spb;
+
+        SeqNum nextSeq = 1;
+        std::uint64_t nextToken = 1;
+        unsigned iqCount = 0; //!< this thread's share of the shared IQ
+        unsigned lqCount = 0;
+        /** Issued, not completed, not waiting on memory: these
+         *  complete by timer (readyCycle), so the thread is never
+         *  quiescent while > 0. */
+        unsigned execPending = 0;
+        /** Lower bound on the earliest pending timer completion; gates
+         *  the completion scan (squash can leave it stale-low, which
+         *  only costs one empty scan that recomputes it). */
+        Cycle nextTimerCycle = kNeverCycle;
+        /** ROB entries with a load in flight to the L1D (wrong path
+         *  included); gates the exec-stall statistic scan. */
+        unsigned memPendingCount = 0;
+        unsigned intRegsFree = 0;
+        unsigned fpRegsFree = 0;
+        bool wrongPathMode = false;
+        Addr lastDataAddr = 0x10000000;
+        /** Correct-path uops fetch may still pull from the trace;
+         *  kUnlimitedFetchBudget for non-sampled runs. */
+        std::uint64_t fetchBudget = kUnlimitedFetchBudget;
+
+        // Per-cycle stage state, reset by the stage that uses it.
+        std::size_t issueScan = 0; //!< ROB index issue resumes at
+        unsigned dispatched = 0;   //!< uops dispatched this cycle
+
+        check::InOrderChecker commitOrder; //!< ROB commits in order
+        CoreStats stats;
+    };
+
+    /** Functional units and memory ports claimed this cycle. */
+    struct FuUse
+    {
+        unsigned intAlu = 0;
+        unsigned fpAlu = 0;
+        unsigned mem = 0;
+    };
+
+    /**
+     * Spend up to @p width slots of one shared pipeline stage: threads
+     * take one slot each per round in rotating priority order, and a
+     * thread drops out once @p slot reports it cannot progress this
+     * cycle. Returns the slots used.
+     */
+    template <typename Slot>
+    unsigned roundRobin(unsigned width, Slot &&slot);
+
+    void completeAndRecover(Thread &t);
     void commitStage();
-    void completeAndRecover();
+    bool commitOne(Thread &t);
     void issueStage();
+    bool issueOne(Thread &t, FuUse &fu);
     void dispatchStage();
+    bool dispatchOne(Thread &t);
     void fetchStage();
+    bool fetchOne(Thread &t);
 
     /** True when producer @p seq has left the ROB or completed.
      *  kInvalidSeqNum (no dependence) maps to "done" via the same
      *  unsigned wrap that rejects committed/squashed seqs. */
-    bool
-    producerDone(SeqNum seq) const
+    static bool
+    producerDone(const Thread &t, SeqNum seq)
     {
-        const std::size_t i = rob_.indexOf(seq);
+        const std::size_t i = t.rob.indexOf(seq);
         return i == RobRing::npos ||
-               (rob_.flags(i) & robflags::kCompleted) != 0;
+               (t.rob.flags(i) & robflags::kCompleted) != 0;
     }
 
-    bool
-    sourcesReady(std::size_t i) const
+    static bool
+    sourcesReady(const Thread &t, std::size_t i)
     {
-        return producerDone(rob_.src1(i)) && producerDone(rob_.src2(i));
+        return producerDone(t, t.rob.src1(i)) &&
+               producerDone(t, t.rob.src2(i));
     }
 
-    void squashAfter(SeqNum branch_seq);
-    void startLoad(std::size_t i);
-    void issueLoadToL1(SeqNum seq, std::uint64_t token);
-    void execStore(std::size_t i);
-    MicroOp synthesizeWrongPath();
-    StallResource dispatchBlocker(const FetchedUop &f) const;
+    bool threadQuiescent(const Thread &t) const;
+    void squashAfter(Thread &t, SeqNum branch_seq);
+    void startLoad(Thread &t, std::size_t i);
+    void issueLoadToL1(Thread &t, SeqNum seq, std::uint64_t token);
+    void execStore(Thread &t, std::size_t i);
+    void recordLoadObserved(const Thread &t, std::size_t i, Cycle cycle,
+                            SeqNum forwarded_from);
+    MicroOp synthesizeWrongPath(Thread &t);
+    StallResource dispatchBlocker(const Thread &t,
+                                  const FetchedUop &f) const;
 
     CoreConfig config_;
     CoreParams p_; //!< shorthand for config_.params
     int coreId_;
     SimClock *clock_;
     CacheController *l1d_;
-    TraceSource *trace_;
-    Rng rng_;
 
-    FetchRing fetchPipe_;
-    RobRing rob_;
-    StoreBuffer sb_;
-    Tlb dtlb_;
-    std::unique_ptr<SpbEngine> spb_;
+    // Per-thread shares of the statically partitioned structures.
+    unsigned robPerThread_;
+    unsigned lqPerThread_;
+    unsigned fetchBufferPerThread_;
 
-    SeqNum nextSeq_ = 1;
-    std::uint64_t nextToken_ = 1;
-    unsigned iqCount_ = 0;
-    unsigned lqCount_ = 0;
-    /** Issued, not completed, not waiting on memory: these complete by
-     *  timer (readyCycle), so the core is never quiescent while > 0. */
-    unsigned execPending_ = 0;
-    /** Lower bound on the earliest pending timer completion; gates the
-     *  completion scan (squash can leave it stale-low, which only costs
-     *  one empty scan that recomputes it). */
-    Cycle nextTimerCycle_ = kNeverCycle;
-    /** ROB entries with a load in flight to the L1D (wrong path
-     *  included); gates the exec-stall statistic scan. */
-    unsigned memPendingCount_ = 0;
-    unsigned intRegsFree_;
-    unsigned fpRegsFree_;
-    bool wrongPathMode_ = false;
-    Addr lastDataAddr_ = 0x10000000;
-    /** Correct-path uops fetchStage may still pull from the trace;
-     *  kNeverCycle-like sentinel means unlimited (non-sampled runs). */
-    std::uint64_t fetchBudget_ = kUnlimitedFetchBudget;
-
-    check::InOrderChecker commitOrder_; //!< ROB commits in order
-
-    CoreStats stats_;
+    std::vector<std::unique_ptr<Thread>> ctx_;
+    unsigned iqInUse_ = 0; //!< shared IQ entries held by all threads
+    int rotate_ = 0;       //!< thread with first pick this cycle
+    check::EventLog *eventLog_ = nullptr; //!< litmus-only event sink
 };
 
 } // namespace spburst

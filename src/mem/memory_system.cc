@@ -23,8 +23,8 @@ MemorySystem::MemorySystem(const MemSystemParams &params, SimClock *clock)
       dram_(params.dram, clock),
       dramLevel_(&dram_, clock)
 {
-    SPB_ASSERT(params.cores >= 1 && params.cores <= 64,
-               "unsupported core count %d", params.cores);
+    if (params.cores < 1 || params.cores > 64)
+        SPB_FATAL("unsupported core count %d (1..64)", params.cores);
 
     l3_ = std::make_unique<CacheController>(params_.l3, clock_,
                                             &dramLevel_, -1, false);

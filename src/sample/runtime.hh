@@ -22,7 +22,7 @@ namespace spburst::sample
 
 /** Host-side facts about a sampled run (not part of SimResult stats:
  *  they differ between live-warming and checkpoint-replay runs, and
- *  sampled results must not). spburst_perf reports them. */
+ *  sampled results must not), read through System::sampleInfo(). */
 struct SampleRunInfo
 {
     std::uint64_t warmedUops = 0;   //!< functionally warmed (live mode)

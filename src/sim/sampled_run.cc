@@ -113,56 +113,14 @@ System::runSampled(const std::function<bool()> &interrupt)
     const std::uint64_t periods =
         config_.maxUopsPerCore / sp.intervalUops;
 
-    constexpr std::uint64_t kInterruptPollCycles = 4096;
-    Cycle next_poll = clock_.now + kInterruptPollCycles;
-    auto throw_interrupted = [&] {
-        throw SimInterrupted("simulation of '" + config_.workload +
-                             "' interrupted at cycle " +
-                             std::to_string(clock_.now));
-    };
-
-    // Detailed-mode inner loop: the same tick / quiescence-fast-forward
-    // structure as the plain run() loop, parameterised by a completion
-    // predicate. Single core by construction (setupSampling).
+    // Detailed phases run the plain run() loop, each under its own
+    // cycle limit. Single core by construction (setupSampling).
     auto run_detailed_until = [&](const char *phase, auto done) {
-        const Cycle limit = clock_.now +
-                            window_budget * config_.cyclesPerUopLimit +
-                            100'000;
-        while (!done()) {
-            if (config_.fastForward) {
-                const Cycle next = clock_.events.nextEventCycle();
-                if (next > clock_.now + 1 && core.quiescent()) {
-                    if (next == kNeverCycle) {
-                        SPB_FATAL(
-                            "sampled %s of '%s' deadlocked at cycle "
-                            "%llu: the core is quiescent and the event "
-                            "queue is empty",
-                            phase, config_.workload.c_str(),
-                            static_cast<unsigned long long>(clock_.now));
-                    }
-                    const Cycle n = next - clock_.now - 1;
-                    core.skipQuiescentCycles(n);
-                    clock_.now += n;
-                    ffCycles_ += n;
-                }
-            }
-            tickOnce();
-            if (interrupt && clock_.now >= next_poll) {
-                next_poll = clock_.now + kInterruptPollCycles;
-                if (interrupt())
-                    throw_interrupted();
-            }
-            if (clock_.now > limit) {
-                SPB_FATAL("sampled %s of '%s' exceeded the cycle limit "
-                          "(%llu cycles, %llu/%llu uops committed)",
-                          phase, config_.workload.c_str(),
-                          static_cast<unsigned long long>(clock_.now),
-                          static_cast<unsigned long long>(
-                              core.committed()),
-                          static_cast<unsigned long long>(
-                              config_.maxUopsPerCore));
-            }
-        }
+        advanceUntil(done,
+                     clock_.now +
+                         window_budget * config_.cyclesPerUopLimit +
+                         100'000,
+                     phase, interrupt);
     };
 
     // Warming pulls uops without advancing the clock, so the interrupt
@@ -171,7 +129,7 @@ System::runSampled(const std::function<bool()> &interrupt)
         for (std::uint64_t i = 0; i < n; ++i) {
             (void)rt.observer->next();
             if (interrupt && (i & 0xffff) == 0xffff && interrupt())
-                throw_interrupted();
+                throwInterrupted();
         }
         rt.info.warmedUops += n;
     };
@@ -253,21 +211,21 @@ System::runSampled(const std::function<bool()> &interrupt)
         const std::uint64_t commit0 = core.committed();
         core.setFetchBudget(window_budget);
 
-        run_detailed_until("warm-up", [&] {
+        run_detailed_until("sampled warm-up", [&] {
             return core.committed() >= commit0 + sp.warmupUops;
         });
         const std::uint64_t uops_a = core.committed();
         const std::uint64_t cycles_a = core.stats().cycles;
         const std::uint64_t sb_a = core.stats().sbStalls();
 
-        run_detailed_until("window", [&] {
+        run_detailed_until("sampled window", [&] {
             return core.committed() >= commit0 + window_budget;
         });
         const std::uint64_t uops_b = core.committed();
         const std::uint64_t cycles_b = core.stats().cycles;
         const std::uint64_t sb_b = core.stats().sbStalls();
 
-        run_detailed_until("drain", [&] {
+        run_detailed_until("sampled drain", [&] {
             return core.drained() && clock_.events.empty();
         });
 
@@ -328,12 +286,7 @@ System::runSampled(const std::function<bool()> &interrupt)
     st.set("sb_stall_per_kuop_sd", sb_est.stddev);
     st.set("sb_stall_per_kuop_ci95", sb_est.halfWidth);
 
-    mem_.finalizeStats();
-    SimResult r = snapshot();
-    if (check::full())
-        drainAndAudit();
-    r.checks = check::counters().delta(checkBase_);
-    return r;
+    return finishRun();
 }
 
 } // namespace spburst

@@ -236,78 +236,70 @@ System::run(const std::function<bool()> &interrupt)
     if (sample_)
         return runSampled(interrupt);
     const std::uint64_t target = config_.maxUopsPerCore;
-    const std::uint64_t cycle_limit =
-        target * config_.cyclesPerUopLimit + 100'000;
-    // Coarse enough that the poll never shows up in a profile.
-    constexpr std::uint64_t kInterruptPollCycles = 4096;
-
     auto all_done = [&] {
         for (const auto &core : cores_)
             if (core->committed() < target)
                 return false;
         return true;
     };
+    advanceUntil(all_done, target * config_.cyclesPerUopLimit + 100'000,
+                 "simulation", interrupt);
+    return finishRun();
+}
 
-    auto all_quiescent = [&] {
-        for (const auto &core : cores_)
-            if (!core->quiescent())
-                return false;
-        return true;
-    };
-
-    Cycle next_poll = kInterruptPollCycles;
-    while (!all_done()) {
-        // Quiescence fast-forward: when the next event is more than one
-        // cycle away and every core is provably stalled until then,
-        // jump the clock to the cycle before the event and account the
-        // skipped ticks as pure stall/occupancy statistics.
-        if (config_.fastForward) {
-            const Cycle next = clock_.events.nextEventCycle();
-            if (next > clock_.now + 1 && all_quiescent()) {
-                if (next == kNeverCycle) {
-                    SPB_FATAL(
-                        "simulation of '%s' deadlocked at cycle %llu: "
-                        "every core is quiescent and the event queue "
-                        "is empty (%llu/%llu uops on core 0)",
-                        config_.workload.c_str(),
-                        static_cast<unsigned long long>(clock_.now),
-                        static_cast<unsigned long long>(
-                            cores_[0]->committed()),
-                        static_cast<unsigned long long>(target));
-                }
-                const Cycle n = next - clock_.now - 1;
-                for (auto &core : cores_)
-                    core->skipQuiescentCycles(n);
-                clock_.now += n;
-                ffCycles_ += n;
-            }
-        }
-        tickOnce();
-        if (interrupt && clock_.now >= next_poll) {
-            next_poll = clock_.now + kInterruptPollCycles;
-            if (interrupt()) {
-                throw SimInterrupted("simulation of '" +
-                                     config_.workload +
-                                     "' interrupted at cycle " +
-                                     std::to_string(clock_.now));
-            }
-        }
-        if (clock_.now > cycle_limit) {
-            SPB_FATAL(
-                "simulation of '%s' exceeded the cycle limit "
-                "(%llu cycles, %llu of them fast-forwarded, %llu/%llu "
-                "uops on core 0, %zu events pending, next at cycle "
-                "%llu) — livelock or a bad quiescence predicate?",
-                config_.workload.c_str(),
-                static_cast<unsigned long long>(clock_.now),
-                static_cast<unsigned long long>(ffCycles_),
-                static_cast<unsigned long long>(cores_[0]->committed()),
-                static_cast<unsigned long long>(target),
-                clock_.events.size(),
-                static_cast<unsigned long long>(
-                    clock_.events.nextEventCycle()));
-        }
+void
+System::fastForward(const char *phase)
+{
+    const Cycle next = clock_.events.nextEventCycle();
+    if (next <= clock_.now + 1)
+        return;
+    for (const auto &core : cores_)
+        if (!core->quiescent())
+            return;
+    if (next == kNeverCycle) {
+        SPB_FATAL("%s of '%s' deadlocked at cycle %llu: every core is "
+                  "quiescent and the event queue is empty (%llu/%llu "
+                  "uops on core 0)",
+                  phase, config_.workload.c_str(),
+                  static_cast<unsigned long long>(clock_.now),
+                  static_cast<unsigned long long>(cores_[0]->committed()),
+                  static_cast<unsigned long long>(config_.maxUopsPerCore));
     }
+    const Cycle n = next - clock_.now - 1;
+    for (auto &core : cores_)
+        core->skipQuiescentCycles(n);
+    clock_.now += n;
+    ffCycles_ += n;
+}
+
+void
+System::throwInterrupted() const
+{
+    throw SimInterrupted("simulation of '" + config_.workload +
+                         "' interrupted at cycle " +
+                         std::to_string(clock_.now));
+}
+
+void
+System::failCycleLimit(const char *phase) const
+{
+    SPB_FATAL("%s of '%s' exceeded the cycle limit (%llu cycles, %llu of "
+              "them fast-forwarded, %llu/%llu uops on core 0, %zu events "
+              "pending, next at cycle %llu) — livelock or a bad "
+              "quiescence predicate?",
+              phase, config_.workload.c_str(),
+              static_cast<unsigned long long>(clock_.now),
+              static_cast<unsigned long long>(ffCycles_),
+              static_cast<unsigned long long>(cores_[0]->committed()),
+              static_cast<unsigned long long>(config_.maxUopsPerCore),
+              clock_.events.size(),
+              static_cast<unsigned long long>(
+                  clock_.events.nextEventCycle()));
+}
+
+SimResult
+System::finishRun()
+{
     mem_.finalizeStats();
     SimResult r = snapshot();
     if (check::full())

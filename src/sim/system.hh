@@ -205,6 +205,35 @@ class System
     const sample::SampleRunInfo *sampleInfo() const;
 
   private:
+    /** Cycles between polls of a run's interrupt hook: coarse enough
+     *  that the poll never shows up in a profile. */
+    static constexpr Cycle kInterruptPollCycles = 4096;
+
+    /**
+     * The detailed run loop behind run() and every sampled phase: tick
+     * until @p done() holds, jumping the clock over stretches in which
+     * every core is quiescent. Polls @p interrupt every
+     * kInterruptPollCycles (throwing SimInterrupted when it returns
+     * true) and fails once the clock passes @p cycle_limit; @p phase
+     * names the loop in the fatal messages.
+     */
+    template <typename Done>
+    void advanceUntil(const Done &done, Cycle cycle_limit,
+                      const char *phase,
+                      const std::function<bool()> &interrupt);
+
+    /** Quiescence fast-forward: when the next event is more than one
+     *  cycle away and every core is provably stalled until then, jump
+     *  the clock to the cycle before it and account the skipped ticks
+     *  as pure stall/occupancy statistics. */
+    void fastForward(const char *phase);
+    [[noreturn]] void throwInterrupted() const;
+    [[noreturn]] void failCycleLimit(const char *phase) const;
+
+    /** End of a run: final stats, the --check=full audit, and the
+     *  result. */
+    SimResult finishRun();
+
     /** Decide live-warming vs checkpoint replay and build the warm
      *  image (sampling only; defined in sampled_run.cc). */
     void setupSampling();
@@ -224,6 +253,7 @@ class System
     SimClock clock_;
     MemorySystem mem_;
     Cycle ffCycles_ = 0; //!< cycles skipped by fast-forward
+    Cycle nextPoll_ = kInterruptPollCycles; //!< next interrupt poll
     std::vector<std::unique_ptr<StreamPrefetcher>> prefetchers_;
     std::vector<std::unique_ptr<PrefetcherIface>> l2Prefetchers_;
     std::vector<std::unique_ptr<TraceSource>> traces_;
@@ -237,6 +267,26 @@ class System
     /** Thread's check counters at construction; results report deltas. */
     check::Counters checkBase_;
 };
+
+template <typename Done>
+void
+System::advanceUntil(const Done &done, Cycle cycle_limit,
+                     const char *phase,
+                     const std::function<bool()> &interrupt)
+{
+    while (!done()) {
+        if (config_.fastForward)
+            fastForward(phase);
+        tickOnce();
+        if (interrupt && clock_.now >= nextPoll_) {
+            nextPoll_ = clock_.now + kInterruptPollCycles;
+            if (interrupt())
+                throwInterrupted();
+        }
+        if (clock_.now > cycle_limit)
+            failCycleLimit(phase);
+    }
+}
 
 /** Build, run, and return the result in one call. */
 SimResult runSystem(const SystemConfig &config);

@@ -1,6 +1,6 @@
 // Fixture: ff-stat-parity must flag a stat written under the ff(tick)
-// tree but missing from the ff(skip) path, and an ff(tick) root whose
-// class has no ff(skip) counterpart at all.
+// tree but missing from the ff(skip) path (also via a per-context
+// `t.stats.x` chain), and an ff(tick) root with no ff(skip) counterpart.
 namespace fx
 {
 
@@ -46,6 +46,34 @@ class LoneTicker
 
   private:
     unsigned long cycles_ = 0;
+};
+
+class ThreadedUnit
+{
+  public:
+    // spburst-lint: ff(tick)
+    void tick()
+    {
+        for (Context &t : ctx_) {
+            ++t.stats.busyCycles;
+            ++t.stats.drained;
+        }
+    }
+
+    // spburst-lint: ff(skip)
+    void skipCycles(unsigned long n)
+    {
+        for (Context &t : ctx_)
+            t.stats.busyCycles += n;
+    }
+
+  private:
+    struct Context
+    {
+        BurstStats stats;
+    };
+
+    Context ctx_[2];
 };
 
 } // namespace fx

@@ -1,5 +1,6 @@
-// Fixture: full tick/skip stat parity plus a justified ff-exempt
-// write — ff-stat-parity must stay silent.
+// Fixture: full tick/skip stat parity (also through per-context
+// `t.stats.x` chains) plus a justified ff-exempt write —
+// ff-stat-parity must stay silent.
 namespace fx
 {
 
@@ -37,6 +38,32 @@ class DrainMeter
     }
 
     DrainStats stats_;
+};
+
+class ThreadedMeter
+{
+  public:
+    // spburst-lint: ff(tick)
+    void tick()
+    {
+        for (Context &t : ctx_)
+            ++t.stats.busyCycles;
+    }
+
+    // spburst-lint: ff(skip)
+    void skipCycles(unsigned long n)
+    {
+        for (Context &t : ctx_)
+            t.stats.busyCycles += n;
+    }
+
+  private:
+    struct Context
+    {
+        DrainStats stats;
+    };
+
+    Context ctx_[2];
 };
 
 } // namespace fx

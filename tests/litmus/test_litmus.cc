@@ -23,7 +23,7 @@
 #include "check/check.hh"
 #include "check/event_log.hh"
 #include "common/clock.hh"
-#include "cpu/smt_core.hh"
+#include "cpu/core.hh"
 #include "mem/memory_system.hh"
 #include "trace/source.hh"
 
@@ -93,9 +93,8 @@ class LitmusTest : public ::testing::Test
                                                "litmus"));
             ptrs_.push_back(sources_.back().get());
         }
-        smt_ = std::make_unique<SmtCore>(CoreConfig{},
-                                         static_cast<int>(progs.size()),
-                                         &clock_, &mem_->l1d(0), ptrs_);
+        smt_ = std::make_unique<Core>(CoreConfig{}, 0, &clock_,
+                                      &mem_->l1d(0), ptrs_);
         smt_->setEventLog(&log_);
 
         const Cycle limit = clock_.now + 200'000;
@@ -161,7 +160,7 @@ class LitmusTest : public ::testing::Test
     std::vector<std::unique_ptr<VectorSource>> sources_;
     std::vector<TraceSource *> ptrs_;
     std::vector<std::size_t> lens_;
-    std::unique_ptr<SmtCore> smt_;
+    std::unique_ptr<Core> smt_;
 
   private:
     check::Level saved_;

@@ -225,18 +225,6 @@ TEST(Stats, MeanAndRatio)
     EXPECT_DOUBLE_EQ(ratio(6, 0, -1.0), -1.0);
 }
 
-TEST(Stats, HistogramBucketsAndAverage)
-{
-    Histogram h(10, 100);
-    for (std::uint64_t v : {5ull, 15ull, 15ull, 95ull, 250ull})
-        h.sample(v);
-    EXPECT_EQ(h.count(), 5u);
-    EXPECT_EQ(h.sum(), 5 + 15 + 15 + 95 + 250u);
-    EXPECT_DOUBLE_EQ(h.average(), 76.0);
-    // 250 lands in the last bucket together with 95.
-    EXPECT_DOUBLE_EQ(h.fractionAtLeast(90), 2.0 / 5.0);
-}
-
 // ---------------------------------------------------------------------
 // TextTable
 // ---------------------------------------------------------------------

@@ -384,6 +384,40 @@ TEST(Engine, FatalConfigErrorFailsOneJobNotTheProcess)
         << out.error;
 }
 
+TEST(Engine, BadCoreCountAndSpbIntervalFailOnlyTheirJobs)
+{
+    // Configuration errors are FatalErrors, not assertions: each bad
+    // job fails on its own and the good job next to them completes.
+    SystemConfig good = makeConfig("x264", 56, StorePrefetchPolicy::AtCommit,
+                                   /*use_spb=*/true);
+    good.maxUopsPerCore = 2'000;
+    std::vector<exp::Job> jobs{exp::Job{exp::configKey(good), good}};
+    for (int cores : {0, 65}) {
+        SystemConfig bad = good;
+        bad.threads = cores;
+        jobs.push_back(exp::Job{exp::configKey(bad), bad});
+    }
+    SystemConfig bad_n = good;
+    bad_n.spb.checkInterval = 1;
+    jobs.push_back(exp::Job{exp::configKey(bad_n), bad_n});
+
+    const auto report = exp::runJobs(jobs, {});
+    ASSERT_EQ(report.outcomes.size(), 4u);
+    EXPECT_EQ(report.outcomes[0].status, exp::JobStatus::Completed);
+    EXPECT_EQ(report.completed(), 1u);
+    EXPECT_EQ(report.failed(), 3u);
+    for (std::size_t i = 1; i < 3; ++i) {
+        EXPECT_EQ(report.outcomes[i].status, exp::JobStatus::Failed);
+        EXPECT_NE(report.outcomes[i].error.find("unsupported core count"),
+                  std::string::npos)
+            << report.outcomes[i].error;
+    }
+    EXPECT_EQ(report.outcomes[3].status, exp::JobStatus::Failed);
+    EXPECT_NE(report.outcomes[3].error.find("check interval N"),
+              std::string::npos)
+        << report.outcomes[3].error;
+}
+
 TEST(EngineDeathTest, DuplicateJobKeysAreFatal)
 {
     auto jobs = smallSpec().expand();

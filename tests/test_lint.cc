@@ -98,12 +98,13 @@ TEST(Lint, FixtureCorpusTripsEveryRuleAtTheExpectedLines)
         {"callback-lifetime", "src/mem/lifetime_bad.cc", 32},
         {"ff-stat-parity", "src/mem/ffparity_bad.cc", 32},
         {"ff-stat-parity", "src/mem/ffparity_bad.cc", 42},
+        {"ff-stat-parity", "src/mem/ffparity_bad.cc", 59}, // t.stats.x
         {"check-purity-flow", "src/mem/checkflow_bad.cc", 11},
         {"check-purity-flow", "src/mem/checkflow_bad.cc", 17},
     };
     EXPECT_EQ(keysOf(result), expected);
     // chrono + steady_clock both flag nondet_bad.cc:13.
-    EXPECT_EQ(result.findings.size(), 39u);
+    EXPECT_EQ(result.findings.size(), 40u);
 }
 
 TEST(Lint, GoodFixturesAndExemptDirsStaySilent)

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.hh"
-#include "cpu/smt_core.hh"
+#include "cpu/core.hh"
 #include "mem/memory_system.hh"
 #include "sim/system.hh"
 #include "trace/workloads.hh"
@@ -35,8 +35,8 @@ class SmtTest : public ::testing::Test
                 buildWorkload(findProfile(workload), 1 + t, 0, 1));
             trace_ptrs.push_back(traces.back().get());
         }
-        smt = std::make_unique<SmtCore>(cfg, threads, &clock,
-                                        &mem->l1d(0), trace_ptrs);
+        smt = std::make_unique<Core>(cfg, 0, &clock, &mem->l1d(0),
+                                     trace_ptrs);
     }
 
     void
@@ -54,17 +54,17 @@ class SmtTest : public ::testing::Test
     std::unique_ptr<MemorySystem> mem;
     std::vector<std::unique_ptr<TraceSource>> traces;
     std::vector<TraceSource *> trace_ptrs;
-    std::unique_ptr<SmtCore> smt;
+    std::unique_ptr<Core> smt;
 };
 
 TEST_F(SmtTest, SbIsStaticallyPartitioned)
 {
     build("x264", 4);
-    EXPECT_EQ(smt->sbPerThread(), 14u) << "56 / 4 threads";
+    EXPECT_EQ(smt->effectiveSbSize(), 14u) << "56 / 4 threads";
     build("x264", 2);
-    EXPECT_EQ(smt->sbPerThread(), 28u);
+    EXPECT_EQ(smt->effectiveSbSize(), 28u);
     build("x264", 1);
-    EXPECT_EQ(smt->sbPerThread(), 56u);
+    EXPECT_EQ(smt->effectiveSbSize(), 56u);
 }
 
 TEST_F(SmtTest, AllThreadsMakeFairProgress)
@@ -169,6 +169,95 @@ TEST_F(SmtTest, WrongPathIsolatedPerThread)
     for (int t = 0; t < 2; ++t) {
         EXPECT_GT(smt->stats(t).mispredicts, 0u);
         EXPECT_GT(smt->stats(t).wrongPathFetched, 0u);
+    }
+}
+
+/** Final state of one run of a two-thread core. */
+struct SmtFfRun
+{
+    Cycle cycles = 0;
+    Cycle skipped = 0; //!< cycles the quiescence skip jumped over
+    std::vector<StatSet> core;
+    std::vector<StoreBufferStats> sb;
+    StatSet l1d;
+};
+
+/** Run two threads of @p workload until each commits @p uops, ticking
+ *  every cycle or fast-forwarding over quiescent stretches the way
+ *  System::run does. */
+SmtFfRun
+runTwoThreads(const std::string &workload, bool spb, bool fast_forward,
+              std::uint64_t uops)
+{
+    SimClock clock;
+    MemorySystem mem(MemSystemParams::tableI(1), &clock);
+    std::vector<std::unique_ptr<TraceSource>> traces;
+    std::vector<TraceSource *> ptrs;
+    for (int t = 0; t < 2; ++t) {
+        traces.push_back(buildWorkload(findProfile(workload), 1 + t, 0, 1));
+        ptrs.push_back(traces.back().get());
+    }
+    CoreConfig cfg;
+    cfg.useSpb = spb;
+    Core core(cfg, 0, &clock, &mem.l1d(0), ptrs);
+
+    SmtFfRun run;
+    const Cycle limit = 20'000'000;
+    while (core.minCommitted() < uops && clock.now < limit) {
+        if (fast_forward) {
+            const Cycle next = clock.events.nextEventCycle();
+            if (next > clock.now + 1 && next != kNeverCycle &&
+                core.quiescent()) {
+                const Cycle n = next - clock.now - 1;
+                core.skipQuiescentCycles(n);
+                clock.now += n;
+                run.skipped += n;
+            }
+        }
+        clock.tick();
+        core.tick();
+    }
+    EXPECT_GE(core.minCommitted(), uops) << "SMT made no progress";
+    run.cycles = clock.now;
+    for (int t = 0; t < core.threads(); ++t) {
+        run.core.push_back(core.stats(t).toStatSet());
+        run.sb.push_back(core.storeBuffer(t).stats());
+    }
+    run.l1d = mem.l1d(0).stats().toStatSet();
+    return run;
+}
+
+TEST(SmtFastForward, SkippingQuiescentCyclesChangesNoStatistic)
+{
+    for (const char *workload : {"dedup", "canneal"}) {
+        for (bool spb : {false, true}) {
+            SCOPED_TRACE(std::string(workload) +
+                         (spb ? " at-commit+SPB" : " at-commit"));
+            const SmtFfRun ticked =
+                runTwoThreads(workload, spb, false, 6'000);
+            const SmtFfRun skipped =
+                runTwoThreads(workload, spb, true, 6'000);
+            EXPECT_EQ(ticked.skipped, 0u);
+            EXPECT_GT(skipped.skipped, 0u) << "the skip path never ran";
+            EXPECT_EQ(ticked.cycles, skipped.cycles);
+            ASSERT_EQ(ticked.core.size(), 2u);
+            ASSERT_EQ(skipped.core.size(), 2u);
+            for (std::size_t t = 0; t < 2; ++t) {
+                EXPECT_EQ(ticked.core[t].toString(),
+                          skipped.core[t].toString())
+                    << "thread " << t;
+                const StoreBufferStats &a = ticked.sb[t];
+                const StoreBufferStats &b = skipped.sb[t];
+                EXPECT_EQ(a.drained, b.drained);
+                EXPECT_EQ(a.forwards, b.forwards);
+                EXPECT_EQ(a.headBlockedCycles, b.headBlockedCycles);
+                EXPECT_EQ(a.squashed, b.squashed);
+                EXPECT_EQ(a.occupancySum, b.occupancySum);
+                EXPECT_EQ(a.fullCycles, b.fullCycles);
+                EXPECT_EQ(a.coalesced, b.coalesced);
+            }
+            EXPECT_EQ(ticked.l1d.toString(), skipped.l1d.toString());
+        }
     }
 }
 
