@@ -119,6 +119,12 @@ Core::Core(const CoreConfig &config, int core_id, SimClock *clock,
                                           traces[tid], seed, sb_entries,
                                           l1d_, coreId_, p_.tlb);
         t->rob.reset(robPerThread_);
+        const std::size_t slots = t->rob.capacity();
+        t->ready.reset(slots);
+        t->timers.reset(slots);
+        t->consumers.reset(slots);
+        t->waitingOn.assign(slots, 0);
+        t->loadsInFlight.reset(slots);
         t->fetchPipe.reset(fetchBufferPerThread_);
         t->intRegsFree = perThreadShare(p_.intRegs, nt, 8);
         t->fpRegsFree = perThreadShare(p_.fpRegs, nt, 8);
@@ -184,16 +190,11 @@ Core::tick()
     for (auto &tp : ctx_) {
         Thread &t = *tp;
         ++t.stats.cycles;
-        // Timer completions exist only while execPending > 0, and a
-        // completed-unrecovered mispredicted branch never survives a
-        // tick (the recovery scan runs in the same tick that completes
-        // it), so completeAndRecover has nothing to do once
-        // execPending is 0 — memory completions mark entries completed
-        // directly. The nextTimerCycle lower bound additionally skips
-        // the scan while every pending timer is still in the future
-        // (branches only complete by timer, so no recovery can be
-        // missed either).
-        if (t.execPending != 0 && now >= t.nextTimerCycle)
+        // Branches complete only by timer, and recovery runs in the
+        // call that completes them, so nothing is due while every
+        // pending timer is still in the future (memory completions
+        // mark entries completed and wake their consumers directly).
+        if (now >= t.nextTimerCycle)
             completeAndRecover(t);
     }
     commitStage();
@@ -204,6 +205,91 @@ Core::tick()
         t->sb.tick(now);
     if (++rotate_ == threads())
         rotate_ = 0;
+    if (check::full())
+        checkScheduler();
+}
+
+unsigned
+Core::waitFor(Thread &t, std::size_t consumer, SeqNum seq)
+{
+    const std::size_t i = t.rob.indexOf(seq);
+    if (i == RobRing::npos || (t.rob.flags(i) & robflags::kCompleted) != 0)
+        return 0;
+    t.consumers.add(t.rob.slotOf(i), consumer);
+    return 1;
+}
+
+void
+Core::wakeConsumers(Thread &t, std::size_t p)
+{
+    t.consumers.drainRow(p, [&t](std::size_t c) {
+        if (--t.waitingOn[c] == 0)
+            t.ready.set(c);
+    });
+}
+
+bool
+Core::readySetExact(const Thread &t)
+{
+    // Every live entry agrees, and no bit is set outside them.
+    std::size_t expected = 0;
+    for (std::size_t i = 0; i < t.rob.size(); ++i) {
+        const bool ready = (t.rob.flags(i) & robflags::kInIq) != 0 &&
+                           sourcesReady(t, i);
+        if (ready != t.ready.test(t.rob.slotOf(i)))
+            return false;
+        expected += ready ? 1 : 0;
+    }
+    return t.ready.count() == expected;
+}
+
+bool
+Core::timerSetExact(const Thread &t)
+{
+    constexpr std::uint8_t care =
+        robflags::kIssued | robflags::kCompleted | robflags::kMemPending;
+    std::size_t expected = 0;
+    for (std::size_t i = 0; i < t.rob.size(); ++i) {
+        const bool timer = (t.rob.flags(i) & care) == robflags::kIssued;
+        if (timer != t.timers.test(t.rob.slotOf(i)))
+            return false;
+        expected += timer ? 1 : 0;
+    }
+    return t.timers.count() == expected;
+}
+
+Cycle
+Core::scanOldestLoadIssuedAt(const Thread &t)
+{
+    constexpr std::uint8_t care = robflags::kMemPending | robflags::kWrongPath;
+    Cycle oldest = kNeverCycle;
+    for (std::size_t i = 0; i < t.rob.size(); ++i)
+        if ((t.rob.flags(i) & care) == robflags::kMemPending)
+            oldest = std::min(oldest, t.rob.issuedAt(i));
+    return oldest;
+}
+
+void
+Core::checkScheduler() const
+{
+    for (const auto &tp : ctx_) {
+        const Thread &t = *tp;
+        SPBURST_CHECK_SLOW(Pipeline, readySetExact(t),
+                           "core %d thread %d: ready set differs from "
+                           "in-IQ entries with every producer complete",
+                           coreId_, t.tid);
+        SPBURST_CHECK_SLOW(Pipeline, timerSetExact(t),
+                           "core %d thread %d: timer set differs from "
+                           "issued, uncompleted, non-memory entries",
+                           coreId_, t.tid);
+        SPBURST_CHECK_SLOW(
+            Pipeline, oldestLoadIssuedAt(t) == scanOldestLoadIssuedAt(t),
+            "core %d thread %d: oldest in-flight load issued at %llu, "
+            "tracked %llu",
+            coreId_, t.tid,
+            static_cast<unsigned long long>(scanOldestLoadIssuedAt(t)),
+            static_cast<unsigned long long>(oldestLoadIssuedAt(t)));
+    }
 }
 
 bool
@@ -219,7 +305,7 @@ bool
 Core::threadQuiescent(const Thread &t) const
 {
     // Something completes by timer.
-    if (t.execPending != 0)
+    if (t.timers.any())
         return false;
     // Fetch would make progress (an exhausted fetch budget blocks
     // correct-path fetch, but never wrong-path synthesis).
@@ -243,18 +329,9 @@ Core::threadQuiescent(const Thread &t) const
     // The SB head would start a drain.
     if (!t.sb.quiescent())
         return false;
-    // Issue would make progress (O(ROB) scan, gated behind the cheap
-    // checks above; completions that could wake these entries arrive
-    // only via memory events once execPending is 0).
-    if (t.iqCount != 0) {
-        const std::size_t n = t.rob.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            if ((t.rob.flags(i) & robflags::kInIq) != 0 &&
-                sourcesReady(t, i))
-                return false;
-        }
-    }
-    return true;
+    // Issue would make progress (with no timers pending, completions
+    // that could wake more entries arrive only via memory events).
+    return !t.ready.any();
 }
 
 // spburst-lint: ff(skip)
@@ -270,25 +347,13 @@ Core::skipQuiescentCycles(Cycle n)
             // The exec-stall condition (an outstanding correct-path L1D
             // load older than the hit latency) is time-dependent: it
             // can become true mid-skip, at minIssuedAt + hitLatency + 1.
-            if (t.memPendingCount != 0) {
-                Cycle min_issued = kNeverCycle;
-                const std::size_t sz = t.rob.size();
-                for (std::size_t i = 0; i < sz; ++i) {
-                    constexpr std::uint8_t want = robflags::kMemPending;
-                    constexpr std::uint8_t care =
-                        robflags::kMemPending | robflags::kWrongPath;
-                    if ((t.rob.flags(i) & care) == want &&
-                        t.rob.issuedAt(i) < min_issued) {
-                        min_issued = t.rob.issuedAt(i);
-                    }
-                }
-                if (min_issued != kNeverCycle) {
-                    const Cycle t0 = min_issued + kL1HitLatency + 1;
-                    const Cycle last = now + n;
-                    if (last >= t0) {
-                        const Cycle from = std::max(now + 1, t0);
-                        t.stats.execStallL1dPending += last - from + 1;
-                    }
+            const Cycle min_issued = oldestLoadIssuedAt(t);
+            if (min_issued != kNeverCycle) {
+                const Cycle t0 = min_issued + kL1HitLatency + 1;
+                const Cycle last = now + n;
+                if (last >= t0) {
+                    const Cycle from = std::max(now + 1, t0);
+                    t.stats.execStallL1dPending += last - from + 1;
                 }
             }
         }
@@ -318,7 +383,6 @@ Core::drained() const
 {
     const Thread &t = *ctx_[0];
     return t.fetchPipe.empty() && t.rob.empty() && t.sb.size() == 0 &&
-           t.execPending == 0 && t.memPendingCount == 0 &&
            !t.wrongPathMode;
 }
 
@@ -337,44 +401,32 @@ void
 Core::completeAndRecover(Thread &t)
 {
     const Cycle now = clock_->now;
-    const std::size_t n = t.rob.size();
     Cycle next = kNeverCycle;
     std::size_t recover = RobRing::npos;
-    // One fused pass: retire due timers, remember the earliest pending
-    // one, and pick the oldest resolved, unrecovered mispredicted
-    // branch. Each entry's recovery predicate only depends on its own
-    // (post-completion) state, so fusing the two historical loops
-    // cannot change which branch recovers.
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint8_t f = t.rob.flags(i);
-        constexpr std::uint8_t timerCare = robflags::kIssued |
-                                           robflags::kCompleted |
-                                           robflags::kMemPending;
-        if ((f & timerCare) == robflags::kIssued) {
-            const Cycle ready = t.rob.readyCycle(i);
-            if (ready <= now) {
-                f |= robflags::kCompleted;
-                t.rob.flags(i) = f;
-                --t.execPending;
-            } else if (ready < next) {
-                next = ready;
-            }
+    // Retire the due timers, remember the earliest pending one, and
+    // pick the oldest correct-path mispredicted branch completing
+    // here. That is the oldest unrecovered resolved one in the ROB:
+    // branches complete only in this pass, and its recovery squashes
+    // every younger one.
+    t.timers.forEach([&](std::size_t p) {
+        const Cycle ready = t.rob.slotReadyCycle(p);
+        if (ready > now) {
+            next = std::min(next, ready);
+            return;
         }
-        constexpr std::uint8_t recoverCare = robflags::kCompleted |
-                                             robflags::kWrongPath |
-                                             robflags::kRecovered;
-        if (recover == RobRing::npos &&
-            (f & recoverCare) == robflags::kCompleted) {
-            const MicroOp &op = t.rob.op(i);
-            if (op.cls == OpClass::Branch && op.mispredicted)
-                recover = i;
-        }
-    }
+        t.timers.clear(p);
+        std::uint8_t &f = t.rob.slotFlags(p);
+        f |= robflags::kCompleted;
+        wakeConsumers(t, p);
+        const MicroOp &op = t.rob.slotOp(p);
+        if ((f & robflags::kWrongPath) == 0 && op.cls == OpClass::Branch &&
+            op.mispredicted)
+            recover = std::min(recover, t.rob.indexOfSlot(p));
+    });
     t.nextTimerCycle = next;
-    // Mispredict recovery: the oldest resolved, unrecovered branch
-    // squashes everything younger and redirects the front end.
+    // Mispredict recovery: that branch squashes everything younger and
+    // redirects the front end.
     if (recover != RobRing::npos) {
-        t.rob.flags(recover) |= robflags::kRecovered;
         // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle completes no branch, so no mispredict can accrue while skipping
         ++t.stats.mispredicts;
         squashAfter(t, t.rob.seqAt(recover));
@@ -386,17 +438,27 @@ Core::squashAfter(Thread &t, SeqNum branch_seq)
 {
     while (!t.rob.empty() && t.rob.backSeq() > branch_seq) {
         const std::size_t i = t.rob.size() - 1;
+        const std::size_t p = t.rob.slotOf(i);
         const std::uint8_t f = t.rob.flags(i);
+        // Younger uops went first, so nothing waits on this one; it
+        // leaves the ready set and its producers' consumer rows.
         if (f & robflags::kInIq) {
-            --t.iqCount;
             --iqInUse_;
+            t.ready.clear(p);
+            for (const SeqNum src : {t.rob.src1(i), t.rob.src2(i)}) {
+                const std::size_t j = t.rob.indexOf(src);
+                if (j != RobRing::npos)
+                    t.consumers.remove(t.rob.slotOf(j), p);
+            }
         }
         if ((f & (robflags::kIssued | robflags::kCompleted)) ==
             robflags::kIssued) {
-            if (f & robflags::kMemPending)
-                --t.memPendingCount;
-            else
-                --t.execPending;
+            if (f & robflags::kMemPending) {
+                if (!(f & robflags::kWrongPath))
+                    t.loadsInFlight.erase(p);
+            } else {
+                t.timers.clear(p);
+            }
         }
         const MicroOp &op = t.rob.op(i);
         if (op.cls == OpClass::Load)
@@ -494,7 +556,8 @@ Core::startLoad(Thread &t, std::size_t i)
         return;
     }
     t.rob.flags(i) |= robflags::kMemPending;
-    ++t.memPendingCount;
+    if (!(t.rob.flags(i) & robflags::kWrongPath))
+        t.loadsInFlight.pushBack(t.rob.slotOf(i));
     const std::uint64_t token = t.rob.token(i);
     if (walk == 0) {
         issueLoadToL1(t, seq, token);
@@ -533,11 +596,14 @@ Core::issueLoadToL1(Thread &t, SeqNum seq, std::uint64_t token)
         if (j == RobRing::npos || th.rob.token(j) != token ||
             !(th.rob.flags(j) & robflags::kMemPending))
             return; // squashed (and possibly re-used) in the meantime
-        std::uint8_t &f = th.rob.flags(j);
+        const std::size_t p = th.rob.slotOf(j);
+        std::uint8_t &f = th.rob.slotFlags(p);
         f = static_cast<std::uint8_t>(
             (f & ~robflags::kMemPending) | robflags::kCompleted);
-        --th.memPendingCount;
-        th.rob.readyCycle(j) = clock_->now;
+        if (!(f & robflags::kWrongPath))
+            th.loadsInFlight.erase(p);
+        th.rob.slotReadyCycle(p) = clock_->now;
+        wakeConsumers(th, p);
         recordLoadObserved(th, j, clock_->now, kInvalidSeqNum);
     });
 }
@@ -586,8 +652,8 @@ Core::issueStage()
 {
     // Oldest-first within a thread. No memory callback runs inside
     // this stage (even an L1D hit completes in a later event), so
-    // nothing a thread's scan has passed can become issuable again
-    // this cycle: each ROB is walked at most once.
+    // nothing select has passed can become issuable again this cycle:
+    // each thread's ready set is walked at most once.
     for (auto &t : ctx_)
         t->issueScan = 0;
     FuUse fu;
@@ -602,19 +668,9 @@ Core::issueStage()
         if (t.rob.empty())
             continue;
         ++t.stats.noIssueCycles;
-        if (t.memPendingCount == 0)
-            continue;
-        const std::size_t n = t.rob.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            constexpr std::uint8_t want = robflags::kMemPending;
-            constexpr std::uint8_t care =
-                robflags::kMemPending | robflags::kWrongPath;
-            if ((t.rob.flags(i) & care) == want &&
-                now > t.rob.issuedAt(i) + kL1HitLatency) {
-                ++t.stats.execStallL1dPending;
-                break;
-            }
-        }
+        const Cycle oldest = oldestLoadIssuedAt(t);
+        if (oldest != kNeverCycle && now > oldest + kL1HitLatency)
+            ++t.stats.execStallL1dPending;
     }
 }
 
@@ -622,10 +678,8 @@ bool
 Core::issueOne(Thread &t, FuUse &fu)
 {
     const Cycle now = clock_->now;
-    const std::size_t n = t.iqCount != 0 ? t.rob.size() : 0;
-    for (std::size_t i = t.issueScan; i < n; ++i) {
-        if (!(t.rob.flags(i) & robflags::kInIq) || !sourcesReady(t, i))
-            continue;
+    for (std::size_t i = t.rob.findFrom(t.ready, t.issueScan);
+         i != RobRing::npos; i = t.rob.findFrom(t.ready, i + 1)) {
         const OpClass cls = t.rob.op(i).cls;
         if (isMemOp(cls)) {
             if (fu.mem >= p_.memPorts)
@@ -640,9 +694,10 @@ Core::issueOne(Thread &t, FuUse &fu)
         }
 
         t.issueScan = i + 1;
+        const std::size_t p = t.rob.slotOf(i);
+        t.ready.clear(p);
         t.rob.flags(i) = static_cast<std::uint8_t>(
             (t.rob.flags(i) & ~robflags::kInIq) | robflags::kIssued);
-        --t.iqCount;
         --iqInUse_;
         t.rob.issuedAt(i) = now;
         // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle issues nothing (noIssueCycles is accrued instead)
@@ -662,15 +717,15 @@ Core::issueOne(Thread &t, FuUse &fu)
             t.rob.readyCycle(i) = now + p_.opLatency(cls);
         }
         // Everything but a load that went to memory completes by
-        // timer; track the earliest such timer for the scan gate.
+        // timer; track the earliest such timer for the completion gate.
         if (!(t.rob.flags(i) & robflags::kMemPending)) {
-            ++t.execPending;
+            t.timers.set(p);
             if (t.rob.readyCycle(i) < t.nextTimerCycle)
                 t.nextTimerCycle = t.rob.readyCycle(i);
         }
         return true;
     }
-    t.issueScan = n;
+    t.issueScan = t.rob.size();
     return false;
 }
 
@@ -732,9 +787,17 @@ Core::dispatchOne(Thread &t)
     auto to_seq = [seq](std::uint8_t dist) {
         return dist == 0 || seq <= dist ? kInvalidSeqNum : seq - dist;
     };
-    t.rob.src1(i) = to_seq(f.op.srcDist1);
-    t.rob.src2(i) = to_seq(f.op.srcDist2);
-    ++t.iqCount;
+    const SeqNum src1 = to_seq(f.op.srcDist1);
+    const SeqNum src2 = to_seq(f.op.srcDist2);
+    t.rob.src1(i) = src1;
+    t.rob.src2(i) = src2;
+    // Wakeup: wait on each distinct producer still in flight.
+    const std::size_t p = t.rob.slotOf(i);
+    const unsigned waiting =
+        waitFor(t, p, src1) + (src2 != src1 ? waitFor(t, p, src2) : 0);
+    t.waitingOn[p] = static_cast<std::uint8_t>(waiting);
+    if (waiting == 0)
+        t.ready.set(p);
     ++iqInUse_;
     if (f.op.cls == OpClass::Load)
         ++t.lqCount;

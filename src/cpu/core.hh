@@ -268,21 +268,33 @@ class Core
         Tlb dtlb;
         std::unique_ptr<SpbEngine> spb;
 
-        SeqNum nextSeq = 1;
-        std::uint64_t nextToken = 1;
-        unsigned iqCount = 0; //!< this thread's share of the shared IQ
-        unsigned lqCount = 0;
+        // Scheduler state, indexed by ROB slot (RobRing::slotOf). It
+        // changes only when readiness does: dispatch, issue, a
+        // completion (timer or L1D callback) and squash.
+
+        /** In the IQ with every producer complete: the select set. */
+        SlotBitmap ready;
         /** Issued, not completed, not waiting on memory: these
          *  complete by timer (readyCycle), so the thread is never
-         *  quiescent while > 0. */
-        unsigned execPending = 0;
-        /** Lower bound on the earliest pending timer completion; gates
-         *  the completion scan (squash can leave it stale-low, which
-         *  only costs one empty scan that recomputes it). */
+         *  quiescent while any is set. */
+        SlotBitmap timers;
+        /** Row p: the IQ entries still waiting for slot p. */
+        WakeupMatrix consumers;
+        /** Per slot: producers not yet complete (0..2). */
+        std::vector<std::uint8_t> waitingOn;
+        /** Correct-path loads in flight to the L1D, in issue order;
+         *  issuedAt never decreases along it, so the front is the
+         *  oldest (exec-stall attribution). */
+        SlotList loadsInFlight;
+
+        SeqNum nextSeq = 1;
+        std::uint64_t nextToken = 1;
+        unsigned lqCount = 0;
+        /** Lower bound on the earliest pending timer completion
+         *  (kNeverCycle with none); gates the completion pass. Squash
+         *  can leave it stale-low, which only costs one pass that
+         *  completes nothing and recomputes it. */
         Cycle nextTimerCycle = kNeverCycle;
-        /** ROB entries with a load in flight to the L1D (wrong path
-         *  included); gates the exec-stall statistic scan. */
-        unsigned memPendingCount = 0;
         unsigned intRegsFree = 0;
         unsigned fpRegsFree = 0;
         bool wrongPathMode = false;
@@ -292,7 +304,7 @@ class Core
         std::uint64_t fetchBudget = kUnlimitedFetchBudget;
 
         // Per-cycle stage state, reset by the stage that uses it.
-        std::size_t issueScan = 0; //!< ROB index issue resumes at
+        std::size_t issueScan = 0; //!< ROB index select resumes at
         unsigned dispatched = 0;   //!< uops dispatched this cycle
 
         check::InOrderChecker commitOrder; //!< ROB commits in order
@@ -337,12 +349,36 @@ class Core
                (t.rob.flags(i) & robflags::kCompleted) != 0;
     }
 
+    /** The readiness predicate the ready set caches (oracle only). */
     static bool
     sourcesReady(const Thread &t, std::size_t i)
     {
         return producerDone(t, t.rob.src1(i)) &&
                producerDone(t, t.rob.src2(i));
     }
+
+    /** Make ROB slot @p consumer wait for producer @p seq if that is
+     *  still in flight; returns 1 if it now waits, else 0. */
+    static unsigned waitFor(Thread &t, std::size_t consumer, SeqNum seq);
+
+    /** Slot @p p completed: wake the uops waiting only for it. */
+    static void wakeConsumers(Thread &t, std::size_t p);
+
+    /** Issue cycle of the oldest correct-path load in flight to the
+     *  L1D, or kNeverCycle. */
+    static Cycle
+    oldestLoadIssuedAt(const Thread &t)
+    {
+        const std::size_t p = t.loadsInFlight.front();
+        return p == SlotList::npos ? kNeverCycle : t.rob.slotIssuedAt(p);
+    }
+
+    // --check=full oracles: recompute from the ROB what the scheduler
+    // state caches. They read state only.
+    static bool readySetExact(const Thread &t);
+    static bool timerSetExact(const Thread &t);
+    static Cycle scanOldestLoadIssuedAt(const Thread &t);
+    void checkScheduler() const;
 
     bool threadQuiescent(const Thread &t) const;
     void squashAfter(Thread &t, SeqNum branch_seq);

@@ -88,6 +88,29 @@ TEST_F(CoreTest, DivLatencyThrottlesChain)
     EXPECT_LT(ipc, 0.06) << "22-cycle divides chained: IPC ~ 1/22";
 }
 
+TEST_F(CoreTest, SelectSkipsLoadsBlockedByMemPortsForYoungerAlu)
+{
+    // Three independent loads and an ALU op dispatch together and are
+    // all ready in the same cycle. The loads are oldest, but with two
+    // memory ports only two of them can issue, so select must pass over
+    // the third and still issue the younger ALU op in that cycle: three
+    // issues, where stopping at the blocked load gives two and ignoring
+    // the port limit gives four.
+    CoreConfig cfg;
+    cfg.params.issueWidth = 4;
+    cfg.params.memPorts = 2;
+    build({uops::load(0x1000, 0x400000), uops::load(0x1004, 0x400040),
+           uops::load(0x1008, 0x400080), uops::alu(0x100c)},
+          cfg);
+    std::uint64_t issued = 0;
+    while (issued == 0 && clock.now < 1000) {
+        clock.tick();
+        core->tick();
+        issued = core->stats().issuedUops;
+    }
+    EXPECT_EQ(issued, 3u) << "first issuing cycle";
+}
+
 TEST_F(CoreTest, CommitCountsByClass)
 {
     std::vector<MicroOp> uops;

@@ -208,6 +208,11 @@ TEST(SystemIntegration, PrefetcherKindsAllRun)
 
 TEST(SystemIntegration, TableIIPresetsAllRun)
 {
+    // Under full checks, so the core's scheduler oracle runs on every
+    // ROB size from SLM's 32 to SNC's 352: ring capacity equal to the
+    // ROB size (32, 128) and larger than it (192, 224, 352).
+    const check::Level saved = check::level();
+    check::setLevel(check::Level::Full);
     for (const CoreParams &p : tableIIPresets()) {
         SystemConfig cfg =
             makeConfig("blender", 0, StorePrefetchPolicy::AtCommit);
@@ -215,7 +220,13 @@ TEST(SystemIntegration, TableIIPresetsAllRun)
         cfg.maxUopsPerCore = 20'000;
         const SimResult r = runSystem(cfg);
         EXPECT_GE(r.committedUops(), 20'000u) << p.name;
+        EXPECT_EQ(r.checks.totalViolations(), 0u) << p.name;
+        EXPECT_GT(r.checks.evaluated[static_cast<int>(
+                      check::Domain::Pipeline)],
+                  0u)
+            << p.name;
     }
+    check::setLevel(saved);
 }
 
 // ---------------------------------------------------------------------
