@@ -29,17 +29,6 @@ struct Options
     std::vector<std::string> files;
     std::string root;                   //!< anchor for relative paths
     std::vector<std::string> onlyRules; //!< empty = all rules
-    bool unusedSuppressions = true;     //!< report stale allow(...)
-    /** Worker threads for file loading and per-file rule passes.
-     *  0 = one per hardware thread, 1 = serial. Results are identical
-     *  at any setting: per-file outputs are concatenated in file order
-     *  and globally sorted. */
-    unsigned jobs = 1;
-    /** When non-empty, an incremental result cache: keyed on the
-     *  content hashes of every analyzed file (the rules are
-     *  project-wide, so any change invalidates the whole run). A hit
-     *  replays the stored findings without lexing or analyzing. */
-    std::string cachePath;
 };
 
 struct RunResult
@@ -47,21 +36,10 @@ struct RunResult
     std::vector<Finding> findings;   //!< sorted (file, line, col, id)
     std::vector<std::string> errors; //!< unreadable files etc.
     std::size_t filesAnalyzed = 0;
-    bool fromCache = false; //!< findings replayed from cachePath
-    /** Per-file dataflow summaries reused from the cache vs total
-     *  (0/0 on a full-warm replay, which never touches summaries). */
-    std::size_t summariesReused = 0;
-    std::size_t summariesTotal = 0;
 };
 
 /** Run the analysis. */
 RunResult runLint(const Options &options);
-
-/** Apply every finding's attached fix edits to the files on disk
- *  (root-anchored). Human-readable progress lines are appended to
- *  @p log; returns the number of edits applied. */
-std::size_t applyFixes(const RunResult &result, const std::string &root,
-                       std::vector<std::string> &log);
 
 /** Render findings as "file:line:col: error: [rule] message" lines. */
 std::string renderText(const RunResult &result);

@@ -57,7 +57,7 @@ lex(LexedFile &f)
     auto emit = [&](TokKind kind, std::size_t start, std::size_t len,
                     int tline, int tcol) {
         f.tokens.push_back({kind, std::string_view(s).substr(start, len),
-                            tline, tcol, start});
+                            tline, tcol});
     };
 
     while (i < n) {

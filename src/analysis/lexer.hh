@@ -4,11 +4,10 @@
  *
  * The static-analysis rules (src/analysis/rules.cc) work on a token
  * stream, not an AST: the properties they police — banned identifiers,
- * iteration syntax over known-unordered containers, side-effect
- * operators inside check-macro arguments, lambda capture lists at
- * scheduler call sites — are all visible at token level, which keeps
- * the analyzer dependency-free (no libclang) and fast enough to run as
- * a tier-1 ctest.
+ * iteration syntax over known-unordered containers, lambda capture
+ * lists at scheduler call sites — are all visible at token level, which
+ * keeps the analyzer dependency-free (no libclang) and fast enough to
+ * run as a tier-1 ctest.
  *
  * The lexer understands comments (kept on a separate channel so the
  * suppression parser can see them), preprocessor directives (skipped,
@@ -19,7 +18,6 @@
 
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -45,7 +43,6 @@ struct Token
     std::string_view text;
     int line = 0;         //!< 1-based
     int col = 0;          //!< 1-based
-    std::size_t pos = 0;  //!< byte offset into the source (fix edits)
 };
 
 /** One comment (either // or block form), for suppression parsing. */

@@ -31,25 +31,7 @@ struct RuleInfo
     std::string_view summary; //!< one-line description
 };
 
-/** One textual replacement inside a source file (byte-addressed). */
-struct FixEdit
-{
-    std::size_t offset = 0; //!< byte offset into the file's content
-    std::size_t length = 0; //!< bytes to delete (0 = pure insertion)
-    std::string text;       //!< replacement text
-};
-
-/** One hop of a dataflow witness (source -> propagation -> sink),
- *  rendered as a SARIF codeFlow so CI annotations show *why* a value
- *  is tainted or a callee impure. */
-struct FlowStep
-{
-    std::string file; //!< root-relative path
-    int line = 0;
-    std::string note; //!< what happens at this hop
-};
-
-/** One diagnostic, optionally carrying a mechanical fix. */
+/** One diagnostic. */
 struct Finding
 {
     std::string ruleId;
@@ -57,9 +39,6 @@ struct Finding
     int line = 0;
     int col = 0;
     std::string message;
-    std::string fixDescription;    //!< empty when no fix is attached
-    std::vector<FixEdit> fixEdits; //!< all edits apply to @c file
-    std::vector<FlowStep> flow;    //!< dataflow witness (may be empty)
 };
 
 /** One `// spburst-lint: allow(<rule>, ...)` comment. */
@@ -74,12 +53,8 @@ struct Suppression
 /** One analyzed source file. */
 struct FileContext
 {
-    std::string path;    //!< as opened
     std::string relPath; //!< root-relative, '/'-separated
     std::string stem;    //!< basename without extension ("mshr")
-    /** FNV-1a-64 of the file content, hex. Keys the per-file dataflow
-     *  summary cache: a summary is reused only when the hash matches. */
-    std::string contentHash;
     /** True when the file lives in a directory whose code can affect
      *  simulated results (src/cpu, src/mem, src/core, src/prefetch,
      *  src/sim, plus the deterministic support dirs src/common,
@@ -198,8 +173,6 @@ struct DeclIndex
     std::set<std::string> hotDeclMethods;
 };
 
-struct FlowIndex; // dataflow.hh: per-function summaries + fixpoint
-
 /** Everything a rule may look at. */
 struct Project
 {
@@ -207,11 +180,6 @@ struct Project
     TypeIndex types;
     StatIndex stats;
     DeclIndex decls;
-    /** Dataflow layer (built by buildIndices after the DeclIndex):
-     *  per-function local summaries plus the interprocedural facts the
-     *  flow rules read. Shared pointer so model.hh need not see the
-     *  definition. */
-    std::shared_ptr<const FlowIndex> flow;
 };
 
 /** One lint rule. Implementations live in rules.cc. */
@@ -229,16 +197,10 @@ class Rule
  *  which the engine emits itself. */
 const std::vector<const Rule *> &allRules();
 
-/** The five semantic rules (snapshot-coverage, codec-symmetry,
- *  stat-hot-path, hot-alloc, config-key-coverage), registered by
- *  allRules() after the token-level rules. Defined in
- *  semantic_rules.cc. */
+/** The four semantic rules (snapshot-coverage, stat-hot-path,
+ *  hot-alloc, config-key-coverage), registered by allRules() after the
+ *  token-level rules. Defined in semantic_rules.cc. */
 const std::vector<const Rule *> &semanticRules();
-
-/** The four dataflow rules (nondeterminism-taint, callback-lifetime,
- *  ff-stat-parity, check-purity-flow), registered by allRules() after
- *  the semantic rules. Defined in flow_rules.cc. */
-const std::vector<const Rule *> &flowRules();
 
 /** Build Project::decls from the lexed files. Defined in index.cc;
  *  called by buildIndices(). */

@@ -1,11 +1,7 @@
 #include "analysis/project.hh"
 
 #include <cctype>
-#include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include "analysis/util.hh"
 
@@ -115,13 +111,9 @@ parseAnnotations(FileContext &file)
         if (tag == std::string_view::npos)
             continue;
         std::string_view body = text.substr(tag + 13);
-        bool justified = false; // carries a non-empty ` -- why` tail
         if (const std::size_t j = body.find(" -- ");
-            j != std::string_view::npos) {
-            justified = body.find_first_not_of(
-                            " \t\n\r", j + 4) != std::string_view::npos;
+            j != std::string_view::npos)
             body = body.substr(0, j);
-        }
         int target = c.line;
         if (c.ownLine) {
             target = c.endLine + 1;
@@ -140,12 +132,11 @@ parseAnnotations(FileContext &file)
                 s.remove_suffix(1);
             return std::string(s);
         };
-        // Parenthesised tags: state(...), config(...), ff(...). The
-        // substring "config(" cannot match inside
-        // "config-host-only(", so the searches are independent.
+        // Parenthesised tags: state(...), config(...). The substring
+        // "config(" cannot match inside "config-host-only(", so the
+        // searches are independent.
         for (std::string_view kind : {std::string_view("state"),
-                                      std::string_view("config"),
-                                      std::string_view("ff")}) {
+                                      std::string_view("config")}) {
             std::string pat(kind);
             pat += '(';
             std::size_t pos = 0;
@@ -162,9 +153,7 @@ parseAnnotations(FileContext &file)
                      (arg == "host-only" || arg == "snapshot" ||
                       arg == "restore")) ||
                     (kind == "config" &&
-                     (arg == "key" || arg == "host-only")) ||
-                    (kind == "ff" &&
-                     (arg == "tick" || arg == "skip"));
+                     (arg == "key" || arg == "host-only"));
                 if (known)
                     file.annotations[target].insert(std::string(kind) +
                                                     "(" + arg + ")");
@@ -204,23 +193,6 @@ parseAnnotations(FileContext &file)
             const bool br = p + 3 >= body.size() || !wordChar(body[p + 3]);
             if (bl && br) {
                 file.annotations[target].insert("hot");
-                break;
-            }
-        }
-        // `ff-exempt` opts a stat write out of ff-stat-parity, but
-        // only with a recorded reason: an unjustified tag is ignored
-        // so the rule keeps firing until someone writes the why.
-        for (std::size_t p = body.find("ff-exempt");
-             p != std::string_view::npos;
-             p = body.find("ff-exempt", p + 1)) {
-            const auto wordChar = [](char ch) {
-                return std::isalnum(static_cast<unsigned char>(ch)) ||
-                       ch == '_' || ch == '-' || ch == '(';
-            };
-            const bool bl = p == 0 || !wordChar(body[p - 1]);
-            const bool br = p + 9 >= body.size() || !wordChar(body[p + 9]);
-            if (bl && br && justified) {
-                file.annotations[target].insert("ff-exempt");
                 break;
             }
         }
@@ -434,7 +406,6 @@ makeFile(const std::string &path, const std::string &root,
          std::string source)
 {
     auto file = std::make_unique<FileContext>();
-    file->path = path;
     file->relPath = relativeTo(path, root);
     file->stem = stemOf(file->relPath);
     for (std::string_view dir : kResultAffectingDirs) {
@@ -444,46 +415,14 @@ makeFile(const std::string &path, const std::string &root,
         }
     }
     file->lex.source = std::move(source);
-    {
-        std::uint64_t h = 1469598103934665603ull;
-        for (const char c : file->lex.source) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ull;
-        }
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%016llx",
-                      static_cast<unsigned long long>(h));
-        file->contentHash = buf;
-    }
     lex(file->lex);
     parseSuppressions(*file);
     parseAnnotations(*file);
     return file;
 }
 
-std::unique_ptr<FileContext>
-loadFile(const std::string &path, const std::string &root,
-         std::vector<std::string> &errors)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        errors.push_back("cannot read " + path);
-        return nullptr;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return makeFile(path, root, buf.str());
-}
-
 void
 buildIndices(Project &project)
-{
-    buildIndices(project, nullptr, 1, nullptr);
-}
-
-void
-buildIndices(Project &project, const SummaryCache *summaryCache,
-             unsigned jobs, SummaryCache *freshSummaries)
 {
     project.types = TypeIndex{};
     project.stats = StatIndex{};
@@ -494,7 +433,6 @@ buildIndices(Project &project, const SummaryCache *summaryCache,
     for (const auto &file : project.files)
         indexStatNames(*file, project.stats);
     buildDeclIndex(project);
-    buildFlowIndex(project, summaryCache, jobs, freshSummaries);
 }
 
 } // namespace spburst::lint

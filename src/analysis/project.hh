@@ -7,39 +7,22 @@
 
 #pragma once
 
+#include <memory>
 #include <string>
-#include <vector>
 
-#include "analysis/dataflow.hh"
 #include "analysis/model.hh"
 
 namespace spburst::lint
 {
 
-/** Load and lex @p path. @p root anchors the relative path used in
- *  findings; returns nullptr (and appends to @p errors) when the file
- *  cannot be read. */
-std::unique_ptr<FileContext> loadFile(const std::string &path,
-                                      const std::string &root,
-                                      std::vector<std::string> &errors);
-
-/** Lex and classify already-read file content. The engine reads
- *  sources first (so a cache hit never pays for lexing) and calls this
- *  only on a cache miss. */
+/** Lex and classify already-read file content. @p root anchors the
+ *  relative path used in findings. */
 std::unique_ptr<FileContext> makeFile(const std::string &path,
                                       const std::string &root,
                                       std::string source);
 
-/** Build the TypeIndex, StatIndex, DeclIndex, and FlowIndex over
- *  @p project.files (serial, no summary cache). */
+/** Build the TypeIndex, StatIndex, and DeclIndex over
+ *  @p project.files. */
 void buildIndices(Project &project);
-
-/** As above, but reuse cached per-file dataflow summaries from
- *  @p summaryCache (may be null) and extract missing ones with
- *  @p jobs workers. When @p freshSummaries is non-null it receives the
- *  serialized summaries of every file in this run, ready to persist —
- *  entries for files no longer in the run are pruned by construction. */
-void buildIndices(Project &project, const SummaryCache *summaryCache,
-                  unsigned jobs, SummaryCache *freshSummaries);
 
 } // namespace spburst::lint

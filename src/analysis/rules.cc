@@ -2,7 +2,7 @@
  * @file
  * The spburst-lint rule catalogue.
  *
- * Six rules, each guarding one of the repo's standing invariants (see
+ * Five rules, each guarding one of the repo's standing invariants (see
  * DESIGN.md "Static analysis & determinism rules"):
  *
  *  - nondeterminism:        no host clocks / host randomness in
@@ -10,10 +10,6 @@
  *  - unordered-iteration:   no iteration over unordered containers in
  *                           result-affecting directories (pointer/hash
  *                           order leaks into stats and event order).
- *  - check-side-effect:     SPBURST_CHECK conditions must be pure —
- *                           they compile out under
- *                           SPBURST_DISABLE_CHECKS and are skipped at
- *                           --check=off.
  *  - callback-capture:      lambdas handed to the event scheduler must
  *                           use explicit captures, never reference
  *                           captures, and never raw pointers to pooled
@@ -294,95 +290,6 @@ class UnorderedIterationRule final : public Rule
                 return "'" + recv + "' (iterator loop)";
         }
         return {};
-    }
-};
-
-// ---------------------------------------------------------------------
-// Rule: check-side-effect
-// ---------------------------------------------------------------------
-
-class CheckSideEffectRule final : public Rule
-{
-  public:
-    RuleInfo
-    info() const override
-    {
-        return {"check-side-effect",
-                "SPBURST_CHECK/SPBURST_CHECK_SLOW conditions must be "
-                "side-effect-free: they are skipped at --check=off and "
-                "compile out under SPBURST_DISABLE_CHECKS"};
-    }
-
-    void
-    check(const Project &, const FileContext &file,
-          std::vector<Finding> &out) const override
-    {
-        static const std::set<std::string_view> assignOps = {
-            "=",  "+=", "-=", "*=",  "/=",  "%=",
-            "&=", "|=", "^=", "<<=", ">>=",
-        };
-        // Container / simulator mutators that must not appear in a
-        // check condition (conservative, extend as needed).
-        static const std::set<std::string_view> mutatingCalls = {
-            "insert",     "erase",      "emplace", "emplace_back",
-            "push_back",  "push_front", "pop_back", "pop_front",
-            "push",       "pop",        "clear",   "resize",
-            "reserve",    "assign",     "swap",    "reset",
-            "release",    "allocate",   "deallocate", "schedule",
-            "sample",     "record",     "touch",   "advance",
-            "tick",       "set",
-        };
-        const std::vector<Token> &toks = file.lex.tokens;
-        for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-            if (!(isIdent(toks[i], "SPBURST_CHECK") ||
-                  isIdent(toks[i], "SPBURST_CHECK_SLOW")))
-                continue;
-            if (!isPunct(toks[i + 1], "("))
-                continue;
-            const std::size_t close = matchClose(toks, i + 1);
-            if (close >= toks.size())
-                continue;
-            const auto args = splitArgs(toks, i + 1, close);
-            if (args.size() < 2)
-                continue;
-            const auto [cFirst, cLast] = args[1];
-            for (std::size_t k = cFirst; k < cLast; ++k) {
-                const Token &t = toks[k];
-                if (isPunct(t, "++") || isPunct(t, "--")) {
-                    std::string msg = "'";
-                    msg += t.text;
-                    msg += "' inside a ";
-                    msg += toks[i].text;
-                    msg += " condition: the side effect vanishes at "
-                           "--check=off and under "
-                           "SPBURST_DISABLE_CHECKS; hoist it out of "
-                           "the check";
-                    add(out, info().id, file, t, msg);
-                } else if (t.kind == TokKind::Punct &&
-                           contains(assignOps, t.text)) {
-                    add(out, info().id, file, t,
-                        "assignment ('" + std::string(t.text) +
-                            "') inside a " + std::string(toks[i].text) +
-                            " condition: the side effect vanishes at "
-                            "--check=off and under "
-                            "SPBURST_DISABLE_CHECKS; hoist it out of "
-                            "the check");
-                } else if (t.kind == TokKind::Ident &&
-                           contains(mutatingCalls, t.text) &&
-                           k + 1 < cLast && isPunct(toks[k + 1], "(") &&
-                           k > cFirst &&
-                           (isPunct(toks[k - 1], ".") ||
-                            isPunct(toks[k - 1], "->"))) {
-                    add(out, info().id, file, t,
-                        "call to mutating '" + std::string(t.text) +
-                            "()' inside a " + std::string(toks[i].text) +
-                            " condition: the mutation vanishes at "
-                            "--check=off and under "
-                            "SPBURST_DISABLE_CHECKS; evaluate it "
-                            "before the check");
-                }
-            }
-        }
     }
 };
 
@@ -757,15 +664,12 @@ allRules()
 {
     static const NondeterminismRule r1;
     static const UnorderedIterationRule r2;
-    static const CheckSideEffectRule r3;
-    static const CallbackCaptureRule r4;
-    static const CallbackInlineSizeRule r5;
-    static const StatNameRule r6;
+    static const CallbackCaptureRule r3;
+    static const CallbackInlineSizeRule r4;
+    static const StatNameRule r5;
     static const std::vector<const Rule *> rules = [] {
-        std::vector<const Rule *> v = {&r1, &r2, &r3, &r4, &r5, &r6};
+        std::vector<const Rule *> v = {&r1, &r2, &r3, &r4, &r5};
         for (const Rule *r : semanticRules())
-            v.push_back(r);
-        for (const Rule *r : flowRules())
             v.push_back(r);
         return v;
     }();

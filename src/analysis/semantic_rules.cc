@@ -2,8 +2,8 @@
  * @file
  * The semantic rule catalogue (rides on the DeclIndex from index.cc).
  *
- * Five rules guarding the invariants the sampling subsystem (PR 6) and
- * the ROADMAP hot-path items turned into correctness requirements:
+ * Four rules guarding the invariants the sampling subsystem and the
+ * hot-path work turned into correctness requirements:
  *
  *  - snapshot-coverage:   every data member of a class with both
  *                         snapshot and restore methods must be read by
@@ -11,11 +11,6 @@
  *                         method, or be annotated state(host-only) —
  *                         a member missing from restore makes sampled
  *                         runs silently diverge from detailed runs.
- *  - codec-symmetry:      paired writer/reader functions (put-/get-,
- *                         write-/read-, encode-/decode-, store-/load-
- *                         prefixed, plus save/load) in the same file
- *                         and class must put and get the same fields
- *                         in the same order and width.
  *  - stat-hot-path:       string-keyed StatSet calls reachable from a
  *                         hot-annotated root re-hash the key on every
  *                         access; demand an interned StatHandle.
@@ -29,9 +24,7 @@
  *                         allowlist.
  */
 
-#include <cctype>
 #include <cstddef>
-#include <map>
 #include <set>
 #include <string>
 
@@ -83,15 +76,6 @@ matchOpenBackward(const std::vector<Token> &toks, std::size_t close)
     return toks.size();
 }
 
-/** Byte offset of the first column of the line token @p t starts on. */
-std::size_t
-lineStartOffset(const Token &t)
-{
-    const std::size_t col = t.col > 0 ? static_cast<std::size_t>(t.col - 1)
-                                      : 0;
-    return t.pos >= col ? t.pos - col : 0;
-}
-
 // ---------------------------------------------------------------------
 // Rule: snapshot-coverage
 // ---------------------------------------------------------------------
@@ -128,7 +112,7 @@ class SnapshotCoverageRule final : public Rule
                     rest.push_back(&fn);
             }
             // Partial file list (header without the .cc): skipping
-            // beats false positives — precommit runs see subsets.
+            // beats false positives.
             if (snap.empty() || rest.empty())
                 continue;
             for (const MemberDecl &m : cls.members) {
@@ -181,156 +165,6 @@ class SnapshotCoverageRule final : public Rule
                     return true;
         }
         return false;
-    }
-};
-
-// ---------------------------------------------------------------------
-// Rule: codec-symmetry
-// ---------------------------------------------------------------------
-
-/** One serialization op inside a writer/reader body. */
-struct CodecOp
-{
-    std::string label; //!< normalized: "U64", "Le32", "raw", ...
-    const Token *at = nullptr;
-};
-
-constexpr std::string_view kWriterPrefixes[] = {"put", "write", "encode",
-                                                "store"};
-constexpr std::string_view kReaderPrefixes[] = {"get", "read", "decode",
-                                                "load"};
-
-/** "U64" for ("putU64", "put"); empty when @p name is not @p prefix
- *  followed by an uppercase-led suffix. */
-std::string
-suffixAfter(std::string_view name, std::string_view prefix)
-{
-    if (name.size() > prefix.size() &&
-        name.compare(0, prefix.size(), prefix) == 0 &&
-        std::isupper(static_cast<unsigned char>(name[prefix.size()])))
-        return std::string(name.substr(prefix.size()));
-    return {};
-}
-
-template <std::size_t N>
-std::string
-opSuffix(std::string_view name, const std::string_view (&prefixes)[N])
-{
-    for (std::string_view p : prefixes) {
-        std::string s = suffixAfter(name, p);
-        if (!s.empty())
-            return s;
-    }
-    return {};
-}
-
-class CodecSymmetryRule final : public Rule
-{
-  public:
-    RuleInfo
-    info() const override
-    {
-        return {"codec-symmetry",
-                "paired writer/reader functions must put and get the "
-                "same fields in the same order and width"};
-    }
-
-    void
-    check(const Project &project, const FileContext &file,
-          std::vector<Finding> &out) const override
-    {
-        static const std::map<std::string_view, std::string_view>
-            counterpart = {{"put", "get"},
-                           {"write", "read"},
-                           {"encode", "decode"},
-                           {"store", "load"}};
-        for (const FunctionDecl &w : project.decls.functions) {
-            if (!w.hasBody ||
-                project.files[w.fileIndex].get() != &file)
-                continue;
-            // Writer-driven pairing: find this writer's reader name.
-            std::string readerName;
-            if (w.name == "save") {
-                readerName = "load";
-            } else {
-                for (std::string_view p : kWriterPrefixes) {
-                    const std::string s = suffixAfter(w.name, p);
-                    if (!s.empty()) {
-                        readerName = std::string(counterpart.at(p)) + s;
-                        break;
-                    }
-                }
-            }
-            if (readerName.empty())
-                continue;
-            const FunctionDecl *r = nullptr;
-            for (const FunctionDecl &cand : project.decls.functions) {
-                if (cand.hasBody && cand.name == readerName &&
-                    cand.cls == w.cls &&
-                    project.files[cand.fileIndex].get() == &file) {
-                    r = &cand;
-                    break;
-                }
-            }
-            if (!r)
-                continue; // unpaired writer: nothing to compare
-            compare(file, w, *r, out);
-        }
-    }
-
-  private:
-    template <std::size_t N>
-    static std::vector<CodecOp>
-    opsOf(const FileContext &file, const FunctionDecl &fn,
-          const std::string_view (&prefixes)[N], std::string_view rawFn)
-    {
-        std::vector<CodecOp> ops;
-        const std::vector<Token> &toks = file.lex.tokens;
-        for (std::size_t i = fn.bodyBegin + 1;
-             i + 1 < fn.bodyEnd && i + 1 < toks.size(); ++i) {
-            if (toks[i].kind != TokKind::Ident ||
-                !isPunct(toks[i + 1], "("))
-                continue;
-            if (toks[i].text == rawFn) {
-                ops.push_back({"raw", &toks[i]});
-                continue;
-            }
-            const std::string s = opSuffix(toks[i].text, prefixes);
-            if (!s.empty())
-                ops.push_back({s, &toks[i]});
-        }
-        return ops;
-    }
-
-    void
-    compare(const FileContext &file, const FunctionDecl &w,
-            const FunctionDecl &r, std::vector<Finding> &out) const
-    {
-        const auto wops = opsOf(file, w, kWriterPrefixes, "fwrite");
-        const auto rops = opsOf(file, r, kReaderPrefixes, "fread");
-        const std::string pair = "writer '" + w.name + "' / reader '" +
-                                 r.name + "'";
-        if (wops.size() != rops.size()) {
-            add(out, info().id, file,
-                file.lex.tokens[r.bodyBegin],
-                pair + ": writer emits " + std::to_string(wops.size()) +
-                    " fields but reader consumes " +
-                    std::to_string(rops.size()) +
-                    "; the codec must put and get the same fields in "
-                    "the same order");
-            return;
-        }
-        for (std::size_t k = 0; k < wops.size(); ++k) {
-            if (wops[k].label == rops[k].label)
-                continue;
-            add(out, info().id, file, *rops[k].at,
-                pair + " disagree at field " + std::to_string(k + 1) +
-                    ": writer puts <" + wops[k].label +
-                    "> but reader gets <" + rops[k].label +
-                    ">; a width or order mismatch here corrupts every "
-                    "checkpoint after this field");
-            return; // one desync poisons the rest: report once
-        }
     }
 };
 
@@ -395,60 +229,20 @@ class StatHotPathRule final : public Rule
                 if (args.empty() ||
                     toks[args[0].first].kind != TokKind::String)
                     continue; // handle-keyed or dynamic: fine
-                Finding f;
-                f.ruleId = std::string(info().id);
-                f.file = file.relPath;
-                f.line = toks[i].line;
-                f.col = toks[i].col;
-                f.message =
+                add(out, info().id, file, toks[i],
                     "string-keyed StatSet::" + std::string(toks[i].text) +
-                    "(" + std::string(toks[args[0].first].text) +
-                    ", ...) on a hot path (reachable from hot root '" +
-                    fn.hotVia +
-                    "'): every call re-resolves the name; intern a "
-                    "StatHandle once at construction (StatSet::intern) "
-                    "and index with the handle here";
-                attachHoistFix(fn, toks, i, args[0].first, f);
-                out.push_back(std::move(f));
+                        "(" + std::string(toks[args[0].first].text) +
+                        ", ...) on a hot path (reachable from hot root '" +
+                        fn.hotVia +
+                        "'): every call re-resolves the name; intern a "
+                        "StatHandle once at construction "
+                        "(StatSet::intern) and index with the handle "
+                        "here");
             }
         }
     }
 
   private:
-    /** Mechanical fix for member receivers (`stats_.add("x", v)`):
-     *  hoist an interned handle to the top of the hot function and use
-     *  it at the call site. Locals may not exist at the insertion
-     *  point, so only trailing-underscore (member) receivers get a
-     *  fix. */
-    static void
-    attachHoistFix(const FunctionDecl &fn,
-                   const std::vector<Token> &toks, std::size_t call,
-                   std::size_t literal, Finding &f)
-    {
-        if (toks[call - 2].kind != TokKind::Ident)
-            return;
-        const std::string recv(toks[call - 2].text);
-        if (recv.empty() || recv.back() != '_')
-            return;
-        std::string slug = "h_";
-        for (const char ch : stringValue(toks[literal]))
-            slug += std::isalnum(static_cast<unsigned char>(ch)) ? ch
-                                                                 : '_';
-        std::string decl = "\n    const auto ";
-        decl += slug;
-        decl += " = ";
-        decl += recv;
-        decl += ".intern(";
-        decl += toks[literal].text;
-        decl += ");";
-        f.fixDescription = "hoist an interned handle '" + slug +
-                           "' to the top of '" + fn.name + "'";
-        f.fixEdits.push_back(
-            {toks[fn.bodyBegin].pos + 1, 0, std::move(decl)});
-        f.fixEdits.push_back(
-            {toks[literal].pos, toks[literal].text.size(), slug});
-    }
-
     template <typename MapOfSets>
     static bool
     stemHas(const MapOfSets &m, const std::string &stem,
@@ -517,20 +311,13 @@ class HotAllocRule final : public Rule
                     if (isReserved(project, file, fn, recv,
                                    memberAccess))
                         continue;
-                    Finding f;
-                    f.ruleId = std::string(info().id);
-                    f.file = file.relPath;
-                    f.line = t.line;
-                    f.col = t.col;
-                    f.message =
+                    add(out, info().id, file, t,
                         "'" + recv + "." + std::string(t.text) +
-                        "' in hot function '" + fn.name +
-                        "' (reachable from hot root '" + fn.hotVia +
-                        "') with no reserve() in sight: growth "
-                        "reallocations land on the hot path; reserve "
-                        "the capacity up front";
-                    attachReserveFix(fn, toks, i, recv, f);
-                    out.push_back(std::move(f));
+                            "' in hot function '" + fn.name +
+                            "' (reachable from hot root '" + fn.hotVia +
+                            "') with no reserve() in sight: growth "
+                            "reallocations land on the hot path; "
+                            "reserve the capacity up front");
                 }
             }
         }
@@ -562,50 +349,6 @@ class HotAllocRule final : public Rule
                 return true;
         }
         return false;
-    }
-
-    /** Mechanical fix: when the push_back sits in a range-for over a
-     *  plain identifier, insert `recv.reserve(src.size());` on the
-     *  line before the for, matching its indentation. */
-    static void
-    attachReserveFix(const FunctionDecl &fn,
-                     const std::vector<Token> &toks, std::size_t call,
-                     const std::string &recv, Finding &f)
-    {
-        for (std::size_t j = call; j-- > fn.bodyBegin + 1;) {
-            if (!isIdent(toks[j], "for") || j + 1 >= toks.size() ||
-                !isPunct(toks[j + 1], "("))
-                continue;
-            const std::size_t close = matchClose(toks, j + 1);
-            if (close >= toks.size() || close > call)
-                continue; // the call is not in this for's body
-            // Range expression must be `x : src` with src an ident.
-            std::size_t colon = toks.size();
-            for (std::size_t k = j + 2; k < close; ++k) {
-                if (isPunct(toks[k], ";"))
-                    return; // classic for: no mechanical fix
-                if (isPunct(toks[k], ":")) {
-                    colon = k;
-                    break;
-                }
-            }
-            if (colon + 2 != close ||
-                toks[colon + 1].kind != TokKind::Ident)
-                return;
-            const std::string src(toks[colon + 1].text);
-            const std::string indent(
-                toks[j].col > 0
-                    ? static_cast<std::size_t>(toks[j].col - 1)
-                    : 0,
-                ' ');
-            f.fixDescription = "reserve '" + recv +
-                               "' to the size of '" + src +
-                               "' before the loop";
-            f.fixEdits.push_back({lineStartOffset(toks[j]), 0,
-                                  indent + recv + ".reserve(" + src +
-                                      ".size());\n"});
-            return;
-        }
     }
 };
 
@@ -685,12 +428,10 @@ const std::vector<const Rule *> &
 semanticRules()
 {
     static const SnapshotCoverageRule r1;
-    static const CodecSymmetryRule r2;
-    static const StatHotPathRule r3;
-    static const HotAllocRule r4;
-    static const ConfigKeyCoverageRule r5;
-    static const std::vector<const Rule *> rules = {&r1, &r2, &r3, &r4,
-                                                    &r5};
+    static const StatHotPathRule r2;
+    static const HotAllocRule r3;
+    static const ConfigKeyCoverageRule r4;
+    static const std::vector<const Rule *> rules = {&r1, &r2, &r3, &r4};
     return rules;
 }
 

@@ -27,8 +27,7 @@ namespace spburst
  * once (outside the loop / at construction) and use the handle
  * overloads: handle access is a vector index, with no map lookup and
  * no string hashing per update. spburst-lint's `stat-hot-path` rule
- * flags string-keyed accessors inside `hot`-annotated functions and
- * its --fix mode hoists the intern() call mechanically.
+ * flags string-keyed accessors inside `hot`-annotated functions.
  */
 class StatHandle
 {

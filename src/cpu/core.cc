@@ -182,7 +182,6 @@ Core::roundRobin(unsigned width, Slot &&slot)
     return used;
 }
 
-// spburst-lint: ff(tick)
 void
 Core::tick()
 {
@@ -334,7 +333,6 @@ Core::threadQuiescent(const Thread &t) const
     return !t.ready.any();
 }
 
-// spburst-lint: ff(skip)
 void
 Core::skipQuiescentCycles(Cycle n)
 {
@@ -427,7 +425,6 @@ Core::completeAndRecover(Thread &t)
     // Mispredict recovery: that branch squashes everything younger and
     // redirects the front end.
     if (recover != RobRing::npos) {
-        // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle completes no branch, so no mispredict can accrue while skipping
         ++t.stats.mispredicts;
         squashAfter(t, t.rob.seqAt(recover));
     }
@@ -469,7 +466,6 @@ Core::squashAfter(Thread &t, SeqNum branch_seq)
             else
                 ++t.intRegsFree;
         }
-        // spburst-lint: ff-exempt -- event-count stat: squashes only follow branch completions, which a quiescent cycle has none of
         ++t.stats.squashedUops;
         t.rob.popBack();
     }
@@ -506,16 +502,13 @@ Core::commitOne(Thread &t)
     switch (op.cls) {
       case OpClass::Store:
         t.sb.markSenior(seq);
-        // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle commits nothing
         ++t.stats.committedStores;
         break;
       case OpClass::Load:
         --t.lqCount;
-        // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle commits nothing
         ++t.stats.committedLoads;
         break;
       case OpClass::Branch:
-        // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle commits nothing
         ++t.stats.committedBranches;
         break;
       default:
@@ -527,7 +520,6 @@ Core::commitOne(Thread &t)
         else
             ++t.intRegsFree;
     }
-    // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle commits nothing
     ++t.stats.committedUops;
     t.rob.popFront();
     return true;
@@ -549,7 +541,6 @@ Core::startLoad(Thread &t, std::size_t i)
         return;
     }
     if (!l1d_) {
-        // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle issues no loads
         ++t.stats.loadsToL1;
         t.rob.readyCycle(i) = now + walk + kL1HitLatency; // detached mode
         recordLoadObserved(t, i, t.rob.readyCycle(i), kInvalidSeqNum);
@@ -576,11 +567,9 @@ Core::issueLoadToL1(Thread &t, SeqNum seq, std::uint64_t token)
     if (i == RobRing::npos || t.rob.token(i) != token ||
         !(t.rob.flags(i) & robflags::kMemPending))
         return; // squashed while the page walk was in flight
-    // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle issues no loads
     ++t.stats.loadsToL1;
     const bool wrong_path = (t.rob.flags(i) & robflags::kWrongPath) != 0;
     if (wrong_path)
-        // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle issues no loads
         ++t.stats.wrongPathLoadsIssued;
     const MicroOp &op = t.rob.op(i);
     MemRequest req;
@@ -700,7 +689,6 @@ Core::issueOne(Thread &t, FuUse &fu)
             (t.rob.flags(i) & ~robflags::kInIq) | robflags::kIssued);
         --iqInUse_;
         t.rob.issuedAt(i) = now;
-        // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle issues nothing (noIssueCycles is accrued instead)
         ++t.stats.issuedUops;
 
         if (cls == OpClass::Load) {
@@ -855,7 +843,6 @@ Core::fetchOne(Thread &t)
     f.wrongPath = t.wrongPathMode;
     if (t.wrongPathMode) {
         f.op = synthesizeWrongPath(t);
-        // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle fetches nothing
         ++t.stats.wrongPathFetched;
     } else {
         if (t.fetchBudget == 0)
@@ -868,7 +855,6 @@ Core::fetchOne(Thread &t)
         if (f.op.cls == OpClass::Branch && f.op.mispredicted)
             t.wrongPathMode = true;
     }
-    // spburst-lint: ff-exempt -- event-count stat: a quiescent cycle fetches nothing
     ++t.stats.fetchedUops;
     t.fetchPipe.pushBack(std::move(f));
     return true;

@@ -111,7 +111,6 @@ StoreBuffer::markSenior(SeqNum seq)
             }
             entries_.addr(prev) = lo;
             entries_.sizeBytes(prev) = static_cast<unsigned>(hi - lo);
-            // spburst-lint: ff-exempt -- event-count stat: coalescing happens at insert, and a quiescent cycle inserts no stores
             ++stats_.coalesced;
             entries_.eraseAt(e);
             e = prev;
@@ -145,7 +144,6 @@ StoreBuffer::squashFrom(SeqNum seq)
             shadow_.erase(entries_.seq(i), entries_.addr(i),
                           entries_.sizeBytes(i));
         entries_.popBack();
-        // spburst-lint: ff-exempt -- event-count stat: squashes follow branch completions, which a quiescent core has none of
         ++stats_.squashed;
     }
 }
@@ -174,7 +172,6 @@ StoreBuffer::tick(Cycle now)
                   static_cast<unsigned long long>(head_seq),
                   static_cast<unsigned long long>(drainOrder_.last()));
     if (l1d_ && !l1d_->probeOwned(head_addr))
-        // spburst-lint: ff-exempt -- quiescence requires the drain path to be idle or blocked on memory; the head-blocked condition is re-checked when ticking resumes
         ++stats_.headBlockedCycles;
 
     drainInFlight_ = true;
@@ -216,7 +213,6 @@ StoreBuffer::finishDrain()
         eventLog_->record(ev);
     }
     entries_.popFront();
-    // spburst-lint: ff-exempt -- drain completions arrive as memory events, which end the quiescent region before they run
     ++stats_.drained;
     drainInFlight_ = false;
 }
@@ -257,7 +253,6 @@ StoreBuffer::forwards(SeqNum load_seq, Addr addr, unsigned size)
                            shadow_.expectedForward(load_seq, addr,
                                                    size)));
     if (hit != kInvalidSeqNum)
-        // spburst-lint: ff-exempt -- event-count stat: forwarding happens at load issue, and a quiescent cycle issues no loads
         ++stats_.forwards;
     return hit;
 }

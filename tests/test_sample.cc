@@ -509,6 +509,82 @@ TEST(SampleCheckpoint, TruncatedFileFallsBackToLiveWarming)
     std::remove(ckpt.c_str());
 }
 
+/** Every serialized field of @p w, in declaration order. */
+std::vector<std::uint64_t>
+fieldsOf(const sample::WindowSnapshot &w)
+{
+    std::vector<std::uint64_t> v{w.startUop};
+    for (const CacheTagSnapshot *c : {&w.l1, &w.l2, &w.l3}) {
+        v.push_back(c->lruClock);
+        for (const CacheTagSnapshot::Frame &fr : c->frames)
+            v.insert(v.end(), {fr.index, fr.tag,
+                               static_cast<std::uint64_t>(fr.state),
+                               fr.lastTouch});
+    }
+    v.push_back(w.tlb.useClock);
+    for (const TlbSnapshot::Entry &e : w.tlb.entries)
+        v.insert(v.end(), {e.index, e.page, e.lastUse});
+    const SpbDetectorState &d = w.detector;
+    v.insert(v.end(), {d.lastBlock, d.lastAddr, d.satCounter,
+                       d.backwardCounter, d.storeCount, d.windowBytes});
+    for (const MicroOp &op : w.uops)
+        v.insert(v.end(), {op.addr, op.pc,
+                           static_cast<std::uint64_t>(op.cls),
+                           static_cast<std::uint64_t>(op.region), op.size,
+                           op.srcDist1, op.srcDist2, op.mispredicted,
+                           op.hasDest});
+    return v;
+}
+
+TEST(SampleCheckpoint, SaveLoadRoundTripsEveryField)
+{
+    // A distinct value in every field, and 64-bit fields above 2^32:
+    // a swapped, narrowed or dropped field in the codec shows here even
+    // where the simulation replaying the checkpoint would not notice.
+    std::uint64_t k = 0;
+    auto u64 = [&k] { ++k; return (k << 40) | k; };
+    auto u32 = [&k] { return static_cast<std::uint32_t>(++k); };
+    auto u8 = [&k] { return static_cast<std::uint8_t>(++k); };
+    sample::WindowSnapshot w;
+    w.startUop = u64();
+    for (CacheTagSnapshot *c : {&w.l1, &w.l2, &w.l3}) {
+        c->lruClock = u64();
+        for (int i = 1; i <= 2; ++i)
+            c->frames.push_back(
+                {u32(), u64(), static_cast<CohState>(i), u64()});
+    }
+    w.tlb.useClock = u64();
+    for (int i = 0; i < 2; ++i)
+        w.tlb.entries.push_back({u32(), u64(), u64()});
+    w.detector = {u64(), u64(), u32(), u32(), u32(), u64()};
+    for (int i = 1; i <= 2; ++i) {
+        MicroOp op;
+        op.addr = u64();
+        op.pc = u64();
+        op.cls = static_cast<OpClass>(i);
+        op.region = static_cast<Region>(i);
+        op.size = u8();
+        op.srcDist1 = u8();
+        op.srcDist2 = u8();
+        op.mispredicted = i == 1;
+        op.hasDest = i == 2;
+        w.uops.push_back(op);
+    }
+    sample::Checkpoint out;
+    out.identity = "round-trip";
+    out.warmedUops = u64();
+    out.windows = {w};
+    const std::string path = tmpPath("fields.ckpt");
+    out.save(path);
+
+    sample::Checkpoint in;
+    ASSERT_TRUE(sample::Checkpoint::load(path, out.identity, in));
+    EXPECT_EQ(in.warmedUops, out.warmedUops);
+    ASSERT_EQ(in.windows.size(), 1u);
+    EXPECT_EQ(fieldsOf(in.windows[0]), fieldsOf(w));
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Accuracy: sampled estimates vs full detail on a long trace
 // ---------------------------------------------------------------------

@@ -3,8 +3,9 @@
 # order:
 #
 #   1. spburst_lint — the repo-specific analyzer (src/analysis): the
-#      determinism, check-macro, event-callback, and stat-name rules.
-#      Built from source here; no external dependency.
+#      determinism, event-callback, stat-name, state-coverage, hot-path
+#      and config-key rules. Built from source here; no external
+#      dependency.
 #   2. clang-tidy with the repo's .clang-tidy profile.
 #
 # Usage: tools/lint.sh [build-dir] [extra clang-tidy args...]
@@ -15,11 +16,6 @@
 # Environment:
 #   SPBURST_LINT_SARIF  if set, spburst_lint also writes a SARIF 2.1.0
 #                       log to this path (CI uploads it as an artifact)
-#   SPBURST_LINT_CACHE  incremental cache path (default:
-#                       <build-dir>/spburst-lint.cache; set empty to
-#                       disable). An unchanged tree replays findings
-#                       without re-analyzing; CI persists the file
-#                       across runs with actions/cache.
 #   GITHUB_ACTIONS      when "true", spburst_lint emits ::error
 #                       annotations so findings land on the PR diff
 set -euo pipefail
@@ -37,11 +33,7 @@ fi
 
 # --- Gate 1: spburst_lint -------------------------------------------------
 cmake --build "${build_dir}" --target spburst_lint
-lint_args=("--compdb=${build_dir}" "--root=${repo_root}" "--jobs=0")
-cache="${SPBURST_LINT_CACHE-"${build_dir}/spburst-lint.cache"}"
-if [[ -n "${cache}" ]]; then
-    lint_args+=("--cache=${cache}")
-fi
+lint_args=("--compdb=${build_dir}" "--root=${repo_root}")
 if [[ -n "${SPBURST_LINT_SARIF:-}" ]]; then
     lint_args+=("--sarif=${SPBURST_LINT_SARIF}")
 fi
@@ -50,7 +42,7 @@ if [[ "${GITHUB_ACTIONS:-}" == "true" ]]; then
 fi
 echo "lint.sh: spburst_lint ${lint_args[*]}"
 # The analyzer prints its own wall-clock trailer ("N files, M findings
-# in T ms"), with "(cache hit)" on a warm replay.
+# in T ms").
 "${build_dir}/tools/spburst_lint" "${lint_args[@]}"
 
 # --- Gate 2: clang-tidy ---------------------------------------------------

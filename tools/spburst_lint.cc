@@ -15,28 +15,18 @@
  *   --rule=<ids>    comma-separated rule filter
  *   --sarif=<path>  also write a SARIF 2.1.0 log
  *   --github        also print GitHub Actions ::error annotations
- *   --no-unused-suppressions
- *                   don't report stale allow(...) comments
- *   --jobs=<n>      worker threads (0 = all hardware threads;
- *                   default 0; output is identical at any setting)
- *   --cache=<path>  incremental result cache keyed on file content
- *                   hashes: an unchanged tree replays findings
- *                   without re-analyzing
- *   --fix           apply the mechanical fixes attached to findings
- *                   (reserve insertion, interned-handle hoist)
  *   --list-rules    print the rule catalogue and exit
  *
  * Exit codes: 0 clean, 1 findings, 2 usage/read error.
  */
 
 /* spburst-lint: config-host-only(compdb, tree, root, rule, sarif,
-       github, no-unused-suppressions, jobs, cache, fix, list-rules)
+       github, list-rules)
    -- the linter configures analysis, never simulation: nothing here
    can affect simulated results, so no option folds into configKey. */
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -58,9 +48,7 @@ usage()
         "files...]\n"
         "                    [--root=DIR] [--rule=id,...] "
         "[--sarif=PATH]\n"
-        "                    [--github] [--no-unused-suppressions]\n"
-        "                    [--jobs=N] [--cache=PATH] [--fix] "
-        "[--list-rules]\n");
+        "                    [--github] [--list-rules]\n");
     return 2;
 }
 
@@ -90,9 +78,7 @@ main(int argc, char **argv)
 
     std::string compdb, tree, root, sarifPath;
     bool github = false;
-    bool fix = false;
     Options options;
-    options.jobs = 0; // all hardware threads; identical output anyway
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -111,15 +97,6 @@ main(int argc, char **argv)
             sarifPath = value("--sarif=");
         } else if (arg == "--github") {
             github = true;
-        } else if (arg == "--no-unused-suppressions") {
-            options.unusedSuppressions = false;
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            options.jobs = static_cast<unsigned>(
-                std::strtoul(value("--jobs=").c_str(), nullptr, 10));
-        } else if (arg.rfind("--cache=", 0) == 0) {
-            options.cachePath = value("--cache=");
-        } else if (arg == "--fix") {
-            fix = true;
         } else if (arg == "--list-rules") {
             for (const Rule *rule : allRules()) {
                 const RuleInfo info = rule->info();
@@ -176,15 +153,6 @@ main(int argc, char **argv)
     for (const std::string &error : result.errors)
         std::fprintf(stderr, "spburst_lint: %s\n", error.c_str());
 
-    if (fix) {
-        std::vector<std::string> fixLog;
-        const std::size_t applied = applyFixes(result, root, fixLog);
-        for (const std::string &line : fixLog)
-            std::fprintf(stderr, "spburst_lint: %s\n", line.c_str());
-        std::fprintf(stderr, "spburst_lint: %zu fix edit%s applied\n",
-                     applied, applied == 1 ? "" : "s");
-    }
-
     std::fputs(renderText(result).c_str(), stdout);
     if (github)
         std::fputs(renderGithub(result).c_str(), stdout);
@@ -198,19 +166,11 @@ main(int argc, char **argv)
         out << renderSarif(result);
     }
 
-    std::string summaryNote;
-    if (result.summariesReused != 0) {
-        summaryNote = " (" + std::to_string(result.summariesReused);
-        summaryNote += "/" + std::to_string(result.summariesTotal);
-        summaryNote += " summaries reused)";
-    }
     std::fprintf(stderr,
-                 "spburst_lint: %zu files, %zu finding%s in %lld ms%s%s%s\n",
+                 "spburst_lint: %zu files, %zu finding%s in %lld ms%s\n",
                  result.filesAnalyzed, result.findings.size(),
                  result.findings.size() == 1 ? "" : "s",
                  static_cast<long long>(elapsedMs),
-                 result.fromCache ? " (cache hit)" : "",
-                 summaryNote.c_str(),
                  result.errors.empty() ? "" : " (with read errors)");
     if (!result.errors.empty())
         return 2;
