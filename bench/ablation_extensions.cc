@@ -20,22 +20,6 @@
 using namespace spburst;
 using namespace spburst::bench;
 
-namespace
-{
-
-SystemConfig
-spbCfg(const BenchOptions &options, const std::string &workload,
-       unsigned sb)
-{
-    SystemConfig cfg =
-        makeConfig(workload, sb, StorePrefetchPolicy::AtCommit, true);
-    cfg.maxUopsPerCore = options.uops;
-    cfg.seed = options.seed;
-    return cfg;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -47,25 +31,22 @@ main(int argc, char **argv)
     {
         std::vector<SystemConfig> grid;
         for (const auto &w : suiteSbBound()) {
-            SystemConfig fwd = spbCfg(options, w, 14);
+            SystemConfig fwd = options.config(w, 14, kSpb);
             grid.push_back(fwd);
             SystemConfig both = fwd;
             both.spb.backwardBursts = true;
             grid.push_back(both);
             for (unsigned rate : {1u, 2u, 4u, 8u}) {
-                SystemConfig cfg = spbCfg(options, w, 14);
+                SystemConfig cfg = options.config(w, 14, kSpb);
                 cfg.mem.l1d.prefetchIssuePerCycle = rate;
                 grid.push_back(cfg);
             }
             for (unsigned reserve : {0u, 4u, 8u, 16u, 32u}) {
-                SystemConfig cfg = spbCfg(options, w, 14);
+                SystemConfig cfg = options.config(w, 14, kSpb);
                 cfg.mem.l1d.demandReservedMshrs = reserve;
                 grid.push_back(cfg);
             }
-            SystemConfig base = makeConfig(
-                w, 14, StorePrefetchPolicy::AtCommit, false);
-            base.maxUopsPerCore = options.uops;
-            base.seed = options.seed;
+            SystemConfig base = options.config(w, 14, kAtCommit);
             grid.push_back(base);
             SystemConfig coal = base;
             coal.coalescingSb = true;
@@ -86,7 +67,7 @@ main(int argc, char **argv)
                         {"workload", "fwd-only cycles", "fwd+bwd cycles",
                          "speedup", "backward bursts fired"});
         for (const auto &w : suiteSbBound()) {
-            SystemConfig fwd = spbCfg(options, w, 14);
+            SystemConfig fwd = options.config(w, 14, kSpb);
             SystemConfig both = fwd;
             both.spb.backwardBursts = true;
             const SimResult &a = runner.run(fwd);
@@ -113,7 +94,7 @@ main(int argc, char **argv)
         const std::vector<unsigned> rates{1, 2, 4, 8};
         std::vector<double> base;
         for (const auto &w : suiteSbBound()) {
-            SystemConfig cfg = spbCfg(options, w, 14);
+            SystemConfig cfg = options.config(w, 14, kSpb);
             cfg.mem.l1d.prefetchIssuePerCycle = 2;
             base.push_back(static_cast<double>(runner.run(cfg).cycles));
         }
@@ -121,7 +102,7 @@ main(int argc, char **argv)
             std::vector<double> rel;
             std::size_t i = 0;
             for (const auto &w : suiteSbBound()) {
-                SystemConfig cfg = spbCfg(options, w, 14);
+                SystemConfig cfg = options.config(w, 14, kSpb);
                 cfg.mem.l1d.prefetchIssuePerCycle = rate;
                 rel.push_back(
                     static_cast<double>(runner.run(cfg).cycles) /
@@ -140,7 +121,7 @@ main(int argc, char **argv)
                         {"reserved", "relative cycles"});
         std::vector<double> base;
         for (const auto &w : suiteSbBound()) {
-            SystemConfig cfg = spbCfg(options, w, 14);
+            SystemConfig cfg = options.config(w, 14, kSpb);
             cfg.mem.l1d.demandReservedMshrs = 8;
             base.push_back(static_cast<double>(runner.run(cfg).cycles));
         }
@@ -148,7 +129,7 @@ main(int argc, char **argv)
             std::vector<double> rel;
             std::size_t i = 0;
             for (const auto &w : suiteSbBound()) {
-                SystemConfig cfg = spbCfg(options, w, 14);
+                SystemConfig cfg = options.config(w, 14, kSpb);
                 cfg.mem.l1d.demandReservedMshrs = reserve;
                 rel.push_back(
                     static_cast<double>(runner.run(cfg).cycles) /
@@ -167,10 +148,7 @@ main(int argc, char **argv)
                         {"workload", "at-commit", "+coalescing", "SPB",
                          "SPB+coalescing", "entries merged"});
         for (const auto &w : suiteSbBound()) {
-            SystemConfig base = makeConfig(
-                w, 14, StorePrefetchPolicy::AtCommit, false);
-            base.maxUopsPerCore = options.uops;
-            base.seed = options.seed;
+            SystemConfig base = options.config(w, 14, kAtCommit);
             SystemConfig coal = base;
             coal.coalescingSb = true;
             SystemConfig spb = base;

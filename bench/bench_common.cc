@@ -1,12 +1,10 @@
 #include "bench/bench_common.hh"
 
 #include <cstdio>
-#include <cstring>
 #include <set>
 
-#include "check/check.hh"
 #include "common/logging.hh"
-#include "exp/spec.hh"
+#include "exp/options.hh"
 #include "trace/workloads.hh"
 
 namespace spburst::bench
@@ -16,53 +14,34 @@ BenchOptions
 BenchOptions::parse(int argc, char **argv, std::uint64_t default_uops)
 {
     BenchOptions o;
-    o.uops = default_uops;
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--uops=", 7) == 0) {
-            o.uops = std::strtoull(arg + 7, nullptr, 10);
-        } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-            o.seed = std::strtoull(arg + 7, nullptr, 10);
-        } else if (std::strncmp(arg, "--sample=", 9) == 0) {
-            o.sample = sample::SampleSpec::parse(arg + 9);
-        } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-            o.trace = arg + 8;
-        } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            o.jobs = static_cast<unsigned>(
-                std::strtoul(arg + 7, nullptr, 10));
-        } else if (std::strcmp(arg, "--progress") == 0) {
-            o.progress = true;
-        } else if (std::strcmp(arg, "--quick") == 0) {
-            o.uops = 20'000;
-        } else if (std::strncmp(arg, "--check=", 8) == 0) {
-            check::setLevel(check::parseLevel(arg + 8));
-        } else if (std::strcmp(arg, "--help") == 0) {
-            std::printf("options: --uops=N --seed=N --sample=SPEC "
-                        "--trace=PATH --quick --jobs=N --progress "
-                        "--check=off|fast|full\n");
-            std::exit(0);
-        } else {
-            SPB_FATAL("unknown bench option '%s'", arg);
-        }
-    }
+    o.base.maxUopsPerCore = default_uops;
+    const std::string_view program = argv[0];
+    exp::CommandLine cli("bench",
+                         std::string(program.substr(program.rfind('/') + 1)) +
+                             " [options] (default --uops=" +
+                             std::to_string(default_uops) + ")");
+    for (const char *row : {"uops", "seed", "sample", "check"})
+        cli.config(row, o.base);
+    cli.workloads("trace", o.workloads);
+    cli.option("quick", "", "fast smoke run: --uops=20000",
+               [&o](std::string_view) { o.base.maxUopsPerCore = 20'000; });
+    cli.count("jobs", "host threads (0 = all hardware; default)", o.jobs, 0,
+              4096);
+    cli.flag("progress", "live progress line on stderr", o.progress);
+    cli.parse(argc, argv);
     return o;
 }
 
-std::string
-configKey(const SystemConfig &cfg)
-{
-    return exp::configKey(cfg);
-}
-
 SystemConfig
-Runner::makeStandardConfig(const std::string &workload, unsigned sb_size,
-                           const Strategy &strategy) const
+BenchOptions::config(const std::string &workload, unsigned sb_size,
+                     const Strategy &strategy) const
 {
-    SystemConfig cfg = makeConfig(workload, sb_size, strategy.policy,
-                                  strategy.spb, strategy.ideal);
-    cfg.maxUopsPerCore = options_.uops;
-    cfg.seed = options_.seed;
-    cfg.sample = options_.sample;
+    SystemConfig cfg = base;
+    cfg.workload = workload;
+    cfg.sbSize = sb_size;
+    cfg.policy = strategy.policy;
+    cfg.useSpb = strategy.spb;
+    cfg.idealSb = strategy.ideal;
     return cfg;
 }
 
@@ -70,7 +49,7 @@ const SimResult &
 Runner::run(const std::string &workload, unsigned sb_size,
             const Strategy &strategy)
 {
-    return run(makeStandardConfig(workload, sb_size, strategy));
+    return run(options_.config(workload, sb_size, strategy));
 }
 
 void
@@ -112,10 +91,10 @@ Runner::prewarmGrid(const std::vector<std::string> &workloads,
                  (sb_sizes.size() * strategies.size() + 1));
     for (const auto &w : workloads) {
         if (ideal_baseline)
-            grid.push_back(makeStandardConfig(w, 56, kIdeal));
+            grid.push_back(options_.config(w, 56, kIdeal));
         for (unsigned sb : sb_sizes)
             for (const Strategy &s : strategies)
-                grid.push_back(makeStandardConfig(w, sb, s));
+                grid.push_back(options_.config(w, sb, s));
     }
     prewarm(grid);
 }
@@ -123,7 +102,7 @@ Runner::prewarmGrid(const std::vector<std::string> &workloads,
 const SimResult &
 Runner::run(SystemConfig cfg)
 {
-    const std::string key = configKey(cfg);
+    const std::string key = exp::configKey(cfg);
     auto it = cache_.find(key);
     if (it != cache_.end())
         return it->second;
@@ -151,8 +130,8 @@ printHeader(const std::string &figure, const std::string &what,
     std::printf("# %s\n", figure.c_str());
     std::printf("# %s\n", what.c_str());
     std::printf("# %lu committed uops per core per run, seed %lu\n",
-                static_cast<unsigned long>(options.uops),
-                static_cast<unsigned long>(options.seed));
+                static_cast<unsigned long>(options.base.maxUopsPerCore),
+                static_cast<unsigned long>(options.base.seed));
     std::printf("########################################################\n");
 }
 

@@ -25,29 +25,6 @@
 namespace spburst::bench
 {
 
-/** Command-line options shared by every bench binary. */
-struct BenchOptions
-{
-    std::uint64_t uops = 120'000; //!< committed uops per core per run
-    std::uint64_t seed = 1;
-    /** Interval-sampling spec applied to every standard config
-     *  (--sample=; disabled by default — figure tables then carry the
-     *  sampled estimates' detailed windows only). */
-    sample::SampleSpec sample;
-    /** ChampSim trace to replay instead of the synthetic profile suite
-     *  (--trace=PATH; figures that honour it run on the single
-     *  "trace:PATH" workload, optionally sampled via --sample=). */
-    std::string trace;
-    unsigned jobs = 0;            //!< host threads for prewarm (0=auto)
-    bool progress = false;        //!< live progress line on stderr
-
-    /** Parse --uops=N, --seed=N, --sample=SPEC, --trace=PATH, --quick
-     *  (uops=20k), --jobs=N, --progress, --check=off|fast|full (sets
-     *  the global simcheck level). Unknown flags are rejected (fatal). */
-    static BenchOptions parse(int argc, char **argv,
-                              std::uint64_t default_uops = 120'000);
-};
-
 /** One store-prefetch strategy variant from the paper's evaluation. */
 struct Strategy
 {
@@ -67,6 +44,29 @@ inline constexpr Strategy kSpb{"SPB", StorePrefetchPolicy::AtCommit, true,
                                false};
 inline constexpr Strategy kIdeal{"ideal", StorePrefetchPolicy::AtCommit,
                                  false, true};
+
+/** Command-line options shared by every bench binary. */
+struct BenchOptions
+{
+    /** Template of every config a figure runs; --uops, --seed and
+     *  --sample (rows of the option table, src/exp) write it. */
+    SystemConfig base;
+    /** Workloads named with --trace=FILE (repeatable); figures that
+     *  honour it run on these instead of their synthetic suite. */
+    std::vector<std::string> workloads;
+    unsigned jobs = 0;            //!< host threads for prewarm (0=auto)
+    bool progress = false;        //!< live progress line on stderr
+
+    /** Parse the bench command line (--help lists it); unknown flags
+     *  and malformed values are fatal. */
+    static BenchOptions parse(int argc, char **argv,
+                              std::uint64_t default_uops = 120'000);
+
+    /** base running @p workload at SB size @p sb_size under
+     *  @p strategy. */
+    SystemConfig config(const std::string &workload, unsigned sb_size,
+                        const Strategy &strategy) const;
+};
 
 /** The three real strategies (paper Fig. 5 x-axis). */
 inline const std::vector<Strategy> kRealStrategies{kAtExecute, kAtCommit,
@@ -88,11 +88,6 @@ class Runner
 {
   public:
     explicit Runner(const BenchOptions &options) : options_(options) {}
-
-    /** The config run(workload, sb, strategy) would execute. */
-    SystemConfig makeStandardConfig(const std::string &workload,
-                                    unsigned sb_size,
-                                    const Strategy &strategy) const;
 
     /** Build a config for (workload, SB size, strategy) and run it. */
     const SimResult &run(const std::string &workload, unsigned sb_size,
@@ -122,9 +117,6 @@ class Runner
     BenchOptions options_;
     std::map<std::string, SimResult> cache_;
 };
-
-/** Unique cache key of a configuration (alias of exp::configKey). */
-std::string configKey(const SystemConfig &cfg);
 
 /** Workload lists (paper ordering: SB-bound first). */
 std::vector<std::string> suiteAll();

@@ -44,7 +44,7 @@ SystemConfig
 cfgWith(const Runner &runner, const std::string &workload,
         L1PrefetcherKind kind, const Strategy &s)
 {
-    SystemConfig cfg = runner.makeStandardConfig(workload, 56, s);
+    SystemConfig cfg = runner.options().config(workload, 56, s);
     cfg.l1Prefetcher = kind;
     return cfg;
 }
@@ -87,9 +87,7 @@ main(int argc, char **argv)
                 "prefetcher x store-prefetch strategy cell",
                 options);
     const std::vector<std::string> workloads =
-        options.trace.empty()
-            ? suiteSbBound()
-            : std::vector<std::string>{"trace:" + options.trace};
+        options.workloads.empty() ? suiteSbBound() : options.workloads;
 
     Runner runner(options);
     {

@@ -15,6 +15,23 @@
 using namespace spburst;
 using namespace spburst::bench;
 
+namespace
+{
+
+/** Table II preset @p p with its SQ resized to @p sq_size. */
+SystemConfig
+coreConfig(const BenchOptions &options, const CoreParams &p,
+           const Strategy &strat, unsigned sq_size, const std::string &w)
+{
+    SystemConfig cfg = options.config(w, 0, strat);
+    cfg.coreParams = p;
+    cfg.coreParams.name = p.name + "-sq" + std::to_string(sq_size);
+    cfg.coreParams.sqSize = sq_size;
+    return cfg;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
@@ -27,26 +44,11 @@ main(int argc, char **argv)
     {
         std::vector<SystemConfig> grid;
         for (const CoreParams &p : tableIIPresets()) {
-            auto make = [&](const Strategy &strat, unsigned sq_size,
-                            const std::string &w) {
-                SystemConfig cfg;
-                cfg.coreParams = p;
-                cfg.coreParams.name =
-                    p.name + "-sq" + std::to_string(sq_size);
-                cfg.coreParams.sqSize = sq_size;
-                cfg.policy = strat.policy;
-                cfg.useSpb = strat.spb;
-                cfg.idealSb = strat.ideal;
-                cfg.workload = w;
-                cfg.maxUopsPerCore = options.uops;
-                cfg.seed = options.seed;
-                return cfg;
-            };
             for (const auto &w : suiteSbBound()) {
-                grid.push_back(make(kIdeal, p.sqSize, w));
+                grid.push_back(coreConfig(options, p, kIdeal, p.sqSize, w));
                 for (unsigned sq : {p.sqSize, p.sqSize / 2})
                     for (const Strategy &s : {kAtCommit, kSpb})
-                        grid.push_back(make(s, sq, w));
+                        grid.push_back(coreConfig(options, p, s, sq, w));
             }
         }
         runner.prewarm(grid);
@@ -70,25 +72,12 @@ main(int argc, char **argv)
     for (const CoreParams &p : tableIIPresets()) {
         auto norm = [&](unsigned sq, const Strategy &s) {
             return geomeanOver(suiteSbBound(), [&](const std::string &w) {
-                auto make = [&](const Strategy &strat,
-                                unsigned sq_size) {
-                    SystemConfig cfg;
-                    cfg.coreParams = p;
-                    cfg.coreParams.name =
-                        p.name + "-sq" + std::to_string(sq_size);
-                    cfg.coreParams.sqSize = sq_size;
-                    cfg.policy = strat.policy;
-                    cfg.useSpb = strat.spb;
-                    cfg.idealSb = strat.ideal;
-                    cfg.workload = w;
-                    cfg.maxUopsPerCore = options.uops;
-                    cfg.seed = options.seed;
-                    return cfg;
-                };
                 const double ideal = static_cast<double>(
-                    runner.run(make(kIdeal, p.sqSize)).cycles);
+                    runner.run(coreConfig(options, p, kIdeal, p.sqSize, w))
+                        .cycles);
                 return static_cast<double>(
-                           runner.run(make(s, sq)).cycles) /
+                           runner.run(coreConfig(options, p, s, sq, w))
+                               .cycles) /
                        ideal;
             });
         };

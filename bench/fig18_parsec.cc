@@ -23,10 +23,8 @@ SystemConfig
 parsecConfig(const BenchOptions &options, const std::string &workload,
              unsigned sb, const spburst::bench::Strategy &s)
 {
-    SystemConfig cfg = makeConfig(workload, sb, s.policy, s.spb, s.ideal);
+    SystemConfig cfg = options.config(workload, sb, s);
     cfg.threads = kThreads;
-    cfg.maxUopsPerCore = options.uops;
-    cfg.seed = options.seed;
     return cfg;
 }
 

@@ -19,12 +19,9 @@ SystemConfig
 spbConfig(const BenchOptions &options, const std::string &workload,
           unsigned sb, unsigned n, bool dynamic)
 {
-    SystemConfig cfg =
-        makeConfig(workload, sb, StorePrefetchPolicy::AtCommit, true);
+    SystemConfig cfg = options.config(workload, sb, kSpb);
     cfg.spb.checkInterval = n;
     cfg.spb.dynamicThreshold = dynamic;
-    cfg.maxUopsPerCore = options.uops;
-    cfg.seed = options.seed;
     return cfg;
 }
 
@@ -42,7 +39,7 @@ main(int argc, char **argv)
     {
         std::vector<SystemConfig> grid;
         for (const auto &w : suiteSbBound()) {
-            grid.push_back(runner.makeStandardConfig(w, 56, kIdeal));
+            grid.push_back(options.config(w, 56, kIdeal));
             for (unsigned sb : kSbSizes) {
                 for (unsigned n : {8u, 16u, 24u, 32u, 48u, 64u})
                     grid.push_back(spbConfig(options, w, sb, n, false));

@@ -73,10 +73,7 @@ main(int argc, char **argv)
         std::vector<SystemConfig> grid;
         for (const char *w : {"bwaves", "x264"}) {
             for (unsigned sb_model : {56u, 28u, 14u}) {
-                SystemConfig mac = makeConfig(
-                    w, sb_model, StorePrefetchPolicy::AtCommit, false);
-                mac.maxUopsPerCore = options.uops;
-                mac.seed = options.seed;
+                SystemConfig mac = options.config(w, sb_model, kAtCommit);
                 grid.push_back(mac);
                 SystemConfig mspb = mac;
                 mspb.useSpb = true;
@@ -98,15 +95,13 @@ main(int argc, char **argv)
             // Per-thread uop budget shrinks with threads so wall time
             // stays manageable; ratios are what matter.
             const std::uint64_t per_thread =
-                options.uops / static_cast<std::uint64_t>(threads);
+                options.base.maxUopsPerCore /
+                static_cast<std::uint64_t>(threads);
             const SmtResult ac = runSmt(w, threads, false, per_thread);
             const SmtResult spb = runSmt(w, threads, true, per_thread);
 
             // The paper's model: one thread, SB shrunk to SB/T.
-            SystemConfig mac = makeConfig(
-                w, sb_model, StorePrefetchPolicy::AtCommit, false);
-            mac.maxUopsPerCore = options.uops;
-            mac.seed = options.seed;
+            SystemConfig mac = options.config(w, sb_model, kAtCommit);
             SystemConfig mspb = mac;
             mspb.useSpb = true;
             const double model_speedup =

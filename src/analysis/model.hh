@@ -68,12 +68,8 @@ struct FileContext
      *  they target (same targeting convention as allow(...): a trailing
      *  comment targets its own line, an own-line comment targets the
      *  next line). Tags: "hot", "state(host-only)", "state(snapshot)",
-     *  "state(restore)", "config(key)", "config(host-only)". */
+     *  "state(restore)". */
     std::map<int, std::set<std::string>> annotations;
-    /** Option names collected from file-level
-     *  `// spburst-lint: config-host-only(a, b, ...)` comments: CLI
-     *  options this file may parse without a per-line annotation. */
-    std::set<std::string> hostOnlyOptions;
 };
 
 /** Project-wide declaration knowledge for the unordered-iteration and
@@ -197,9 +193,9 @@ class Rule
  *  which the engine emits itself. */
 const std::vector<const Rule *> &allRules();
 
-/** The four semantic rules (snapshot-coverage, stat-hot-path,
- *  hot-alloc, config-key-coverage), registered by allRules() after the
- *  token-level rules. Defined in semantic_rules.cc. */
+/** The three semantic rules (snapshot-coverage, stat-hot-path,
+ *  hot-alloc), registered by allRules() after the token-level rules.
+ *  Defined in semantic_rules.cc. */
 const std::vector<const Rule *> &semanticRules();
 
 /** Build Project::decls from the lexed files. Defined in index.cc;

@@ -91,10 +91,8 @@ parseSuppressions(FileContext &file)
 /** Parse the non-allow `spburst-lint:` annotations. Targeting follows
  *  the allow(...) convention: a trailing comment annotates its own
  *  line, an own-line comment annotates the next line. Recognized:
- *  `hot`, `state(host-only|snapshot|restore)`,
- *  `config(key|host-only)`, and the file-level
- *  `config-host-only(name, ...)` allowlist. Anything after ` -- ` is a
- *  human justification. */
+ *  `hot` and `state(host-only|snapshot|restore)`. Anything after
+ *  ` -- ` is a human justification. */
 void
 parseAnnotations(FileContext &file)
 {
@@ -132,54 +130,18 @@ parseAnnotations(FileContext &file)
                 s.remove_suffix(1);
             return std::string(s);
         };
-        // Parenthesised tags: state(...), config(...). The substring
-        // "config(" cannot match inside "config-host-only(", so the
-        // searches are independent.
-        for (std::string_view kind : {std::string_view("state"),
-                                      std::string_view("config")}) {
-            std::string pat(kind);
-            pat += '(';
-            std::size_t pos = 0;
-            while ((pos = body.find(pat, pos)) != std::string_view::npos) {
-                const std::size_t open = pos + pat.size() - 1;
-                const std::size_t close = body.find(')', open);
-                pos = open + 1;
-                if (close == std::string_view::npos)
-                    continue;
-                const std::string arg =
-                    trimmed(body.substr(open + 1, close - open - 1));
-                const bool known =
-                    (kind == "state" &&
-                     (arg == "host-only" || arg == "snapshot" ||
-                      arg == "restore")) ||
-                    (kind == "config" &&
-                     (arg == "key" || arg == "host-only"));
-                if (known)
-                    file.annotations[target].insert(std::string(kind) +
-                                                    "(" + arg + ")");
-            }
-        }
-        // File-level allowlist of host-only CLI option names.
+        // Parenthesised tag: state(...).
         std::size_t pos = 0;
-        while ((pos = body.find("config-host-only(", pos)) !=
-               std::string_view::npos) {
-            const std::size_t open = pos + 16;
+        while ((pos = body.find("state(", pos)) != std::string_view::npos) {
+            const std::size_t open = pos + 5;
             const std::size_t close = body.find(')', open);
             pos = open + 1;
             if (close == std::string_view::npos)
                 continue;
-            std::string_view list = body.substr(open + 1, close - open - 1);
-            while (!list.empty()) {
-                const std::size_t comma = list.find(',');
-                std::string name = trimmed(list.substr(0, comma));
-                while (!name.empty() && name.front() == '-')
-                    name.erase(name.begin());
-                if (!name.empty())
-                    file.hostOnlyOptions.insert(std::move(name));
-                if (comma == std::string_view::npos)
-                    break;
-                list.remove_prefix(comma + 1);
-            }
+            const std::string arg =
+                trimmed(body.substr(open + 1, close - open - 1));
+            if (arg == "host-only" || arg == "snapshot" || arg == "restore")
+                file.annotations[target].insert("state(" + arg + ")");
         }
         // Bare `hot` tag (word-boundary match so prose in a
         // justification never trips it).

@@ -2,7 +2,7 @@
  * @file
  * The semantic rule catalogue (rides on the DeclIndex from index.cc).
  *
- * Four rules guarding the invariants the sampling subsystem and the
+ * Three rules guarding the invariants the sampling subsystem and the
  * hot-path work turned into correctness requirements:
  *
  *  - snapshot-coverage:   every data member of a class with both
@@ -17,11 +17,6 @@
  *  - hot-alloc:           new / make_unique / make_shared and
  *                         push_back without a reserve() in hot
  *                         functions.
- *  - config-key-coverage: every "--option" literal parsed under tools/
- *                         must be annotated config(key) (folded into
- *                         exp::configKey), config(host-only), or
- *                         listed in a file-level config-host-only(...)
- *                         allowlist.
  */
 
 #include <cstddef>
@@ -48,17 +43,6 @@ add(std::vector<Finding> &out, std::string_view rule,
     f.col = at.col;
     f.message = std::move(message);
     out.push_back(std::move(f));
-}
-
-bool
-annotated(const FileContext &file, int line, const char *tag)
-{
-    for (int l = line - 1; l <= line; ++l) {
-        const auto it = file.annotations.find(l);
-        if (it != file.annotations.end() && it->second.count(tag))
-            return true;
-    }
-    return false;
 }
 
 /** Index of the '(' matching the ')' at @p close, scanning backwards;
@@ -352,76 +336,6 @@ class HotAllocRule final : public Rule
     }
 };
 
-// ---------------------------------------------------------------------
-// Rule: config-key-coverage
-// ---------------------------------------------------------------------
-
-class ConfigKeyCoverageRule final : public Rule
-{
-  public:
-    RuleInfo
-    info() const override
-    {
-        return {"config-key-coverage",
-                "every CLI option parsed under tools/ must be "
-                "annotated config(key) — folded into exp::configKey — "
-                "or declared host-only"};
-    }
-
-    void
-    check(const Project &, const FileContext &file,
-          std::vector<Finding> &out) const override
-    {
-        if (file.relPath.find("tools/") == std::string::npos)
-            return;
-        for (const Token &t : file.lex.tokens) {
-            if (t.kind != TokKind::String)
-                continue;
-            const std::string lit = stringValue(t);
-            if (!isOptionLiteral(lit))
-                continue;
-            std::string name = lit.substr(2);
-            if (!name.empty() && name.back() == '=')
-                name.pop_back();
-            if (file.hostOnlyOptions.count(name))
-                continue;
-            if (annotated(file, t.line, "config(key)") ||
-                annotated(file, t.line, "config(host-only)"))
-                continue;
-            add(out, info().id, file, t,
-                "CLI option '--" + name +
-                    "' is not covered: if it affects simulated "
-                    "results, fold it into exp::configKey and annotate "
-                    "`// spburst-lint: config(key)`; if it is "
-                    "host-side only, annotate `config(host-only)` or "
-                    "list it in a file-level `// spburst-lint: "
-                    "config-host-only(...)` allowlist");
-        }
-    }
-
-  private:
-    /** Exactly "--name" or "--name=" with [a-z0-9-] names: option
-     *  literals as they appear in parser comparisons. Prose in usage()
-     *  text never matches because it is one big literal. */
-    static bool
-    isOptionLiteral(const std::string &s)
-    {
-        if (s.size() < 3 || s.compare(0, 2, "--") != 0)
-            return false;
-        const std::size_t end =
-            s.back() == '=' ? s.size() - 1 : s.size();
-        if (end <= 2)
-            return false;
-        for (std::size_t i = 2; i < end; ++i) {
-            const char ch = s[i];
-            if (!((ch >= 'a' && ch <= 'z') || (ch >= '0' && ch <= '9') ||
-                  ch == '-'))
-                return false;
-        }
-        return true;
-    }
-};
-
 } // namespace
 
 const std::vector<const Rule *> &
@@ -430,8 +344,7 @@ semanticRules()
     static const SnapshotCoverageRule r1;
     static const StatHotPathRule r2;
     static const HotAllocRule r3;
-    static const ConfigKeyCoverageRule r4;
-    static const std::vector<const Rule *> rules = {&r1, &r2, &r3, &r4};
+    static const std::vector<const Rule *> rules = {&r1, &r2, &r3};
     return rules;
 }
 

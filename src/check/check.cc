@@ -90,19 +90,6 @@ setLevel(Level l)
     detail::gLevel.store(l, std::memory_order_relaxed);
 }
 
-Level
-parseLevel(const std::string &name)
-{
-    if (name == "off")
-        return Level::Off;
-    if (name == "fast")
-        return Level::Fast;
-    if (name == "full")
-        return Level::Full;
-    SPB_FATAL("unknown check level '%s' (want off|fast|full)",
-              name.c_str());
-}
-
 const char *
 levelName(Level l)
 {

@@ -152,9 +152,6 @@ full()
 /** Set the process-wide checking level. */
 void setLevel(Level l);
 
-/** Parse "off" / "fast" / "full" (fatal on anything else). */
-Level parseLevel(const std::string &name);
-
 /** Name of a level ("off" / "fast" / "full"). */
 const char *levelName(Level l);
 

@@ -358,10 +358,4 @@ runJobs(const std::vector<Job> &jobs, const EngineOptions &options)
     return report;
 }
 
-ExperimentReport
-runExperiment(const ExperimentSpec &spec, const EngineOptions &options)
-{
-    return runJobs(spec.expand(), options);
-}
-
 } // namespace spburst::exp

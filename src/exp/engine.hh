@@ -109,8 +109,4 @@ struct ExperimentReport
 ExperimentReport runJobs(const std::vector<Job> &jobs,
                          const EngineOptions &options = {});
 
-/** expand() + runJobs() in one call. */
-ExperimentReport runExperiment(const ExperimentSpec &spec,
-                               const EngineOptions &options = {});
-
 } // namespace spburst::exp

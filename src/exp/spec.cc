@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/logging.hh"
+#include "exp/options.hh"
 
 namespace spburst::exp
 {
@@ -54,15 +55,13 @@ ExperimentSpec::expand() const
 {
     SPB_ASSERT(!workloads.empty(),
                "experiment '%s' has no workloads", name.c_str());
-    for (const auto &axis : axes) {
-        SPB_ASSERT(!axis.variants.empty(),
-                   "experiment '%s' axis '%s' has no variants",
-                   name.c_str(), axis.name.c_str());
-    }
-
     std::size_t per_workload = 1;
-    for (const auto &axis : axes)
-        per_workload *= axis.variants.size();
+    for (const auto &axis : axes) {
+        SPB_ASSERT(!axis.values.empty(),
+                   "experiment '%s' axis '%s' has no values",
+                   name.c_str(), axis.name.c_str());
+        per_workload *= axis.values.size();
+    }
 
     std::vector<Job> jobs;
     jobs.reserve(workloads.size() * per_workload);
@@ -72,13 +71,14 @@ ExperimentSpec::expand() const
             // Decompose idx into one digit per axis, last axis fastest.
             std::size_t rem = idx;
             for (std::size_t a = axes.size(); a-- > 0;) {
-                digits[a] = rem % axes[a].variants.size();
-                rem /= axes[a].variants.size();
+                digits[a] = rem % axes[a].values.size();
+                rem /= axes[a].values.size();
             }
             SystemConfig cfg = base;
             cfg.workload = workload;
             for (std::size_t a = 0; a < axes.size(); ++a)
-                axes[a].variants[digits[a]].apply(cfg);
+                configOption(axes[a].name)
+                    .parse(cfg, axes[a].values[digits[a]]);
             if (perJobSeeds)
                 cfg.seed = mixSeed(base.seed, jobs.size());
             jobs.push_back(Job{configKey(cfg), std::move(cfg)});
@@ -93,36 +93,6 @@ ExperimentSpec::expand() const
                       name.c_str(), job.key.c_str());
     }
     return jobs;
-}
-
-Axis
-sbSizeAxis(const std::vector<unsigned> &sizes)
-{
-    Axis axis{"sb", {}};
-    for (unsigned sb : sizes) {
-        // Two-step concat: GCC 12 -Wrestrict misfires on
-        // operator+(const char *, std::string &&) under -Werror.
-        std::string label = "sb";
-        label += std::to_string(sb);
-        axis.variants.push_back(
-            {std::move(label),
-             [sb](SystemConfig &cfg) { cfg.sbSize = sb; }});
-    }
-    return axis;
-}
-
-Axis
-spbWindowAxis(const std::vector<unsigned> &ns)
-{
-    Axis axis{"spb-n", {}};
-    for (unsigned n : ns) {
-        std::string label = "n";
-        label += std::to_string(n);
-        axis.variants.push_back(
-            {std::move(label),
-             [n](SystemConfig &cfg) { cfg.spb.checkInterval = n; }});
-    }
-    return axis;
 }
 
 } // namespace spburst::exp

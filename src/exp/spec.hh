@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,18 +41,12 @@ struct Job
     SystemConfig config;
 };
 
-/** One point on a configuration axis. */
-struct ConfigVariant
-{
-    std::string label;                         //!< e.g. "sb14", "SPB"
-    std::function<void(SystemConfig &)> apply; //!< mutates the config
-};
-
-/** One configuration axis (its variants multiply the grid). */
+/** One configuration axis: a row of the option table (options.hh)
+ *  and the values it takes; its values multiply the grid. */
 struct Axis
 {
     std::string name;
-    std::vector<ConfigVariant> variants;
+    std::vector<std::string> values;
 };
 
 /** A declarative sweep: workloads × axis1 × axis2 × ... */
@@ -77,9 +70,5 @@ struct ExperimentSpec
      */
     std::vector<Job> expand() const;
 };
-
-/** Convenience axis builders for the common numeric sweeps. */
-Axis sbSizeAxis(const std::vector<unsigned> &sizes);
-Axis spbWindowAxis(const std::vector<unsigned> &ns);
 
 } // namespace spburst::exp

@@ -93,26 +93,4 @@ MemorySystem::finalizeStats()
     l3_->finalizeStats();
 }
 
-StatSet
-MemorySystem::toStatSet() const
-{
-    StatSet s;
-    for (std::size_t c = 0; c < l1d_.size(); ++c) {
-        s.merge("l1d" + std::to_string(c) + ".", l1d_[c]->stats().toStatSet());
-        s.merge("l2_" + std::to_string(c) + ".", l2_[c]->stats().toStatSet());
-    }
-    s.merge("l3.", l3_->stats().toStatSet());
-    s.set("dram.reads", static_cast<double>(dram_.reads()));
-    s.set("dram.writes", static_cast<double>(dram_.writes()));
-    s.set("dram.queue_delay", static_cast<double>(dram_.queueDelay()));
-    if (dir_) {
-        s.set("dir.invalidations",
-              static_cast<double>(dir_->stats().invalidations));
-        s.set("dir.invalidations_by_spb",
-              static_cast<double>(dir_->stats().invalidationsBySpb));
-        s.set("dir.downgrades", static_cast<double>(dir_->stats().downgrades));
-    }
-    return s;
-}
-
 } // namespace spburst

@@ -75,9 +75,6 @@ class MemorySystem
     /** Fold end-of-run prefetch residue into the stats. */
     void finalizeStats();
 
-    /** All hierarchy statistics, prefixed per component. */
-    StatSet toStatSet() const;
-
   private:
     MemSystemParams params_;
     SimClock *clock_;

@@ -1,5 +1,7 @@
 #include "sample/spec.hh"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -16,9 +18,10 @@ parseCount(const std::string &key, const std::string &text)
 {
     if (text.empty())
         SPB_FATAL("sample spec: empty value for '%s'", key.c_str());
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size())
+    std::uint64_t v = 0;
+    const char *end = text.c_str() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.c_str(), end, v);
+    if (ec != std::errc() || ptr != end)
         SPB_FATAL("sample spec: bad count '%s' for '%s'", text.c_str(),
                   key.c_str());
     return v;
@@ -46,12 +49,16 @@ SampleSpec::validate() const
         return;
     if (windowUops == 0)
         SPB_FATAL("sample spec: window=N is required (got 0)");
-    if (warmupUops + windowUops > intervalUops)
+    if (warmupUops > intervalUops ||
+        windowUops > intervalUops - warmupUops)
         SPB_FATAL("sample spec: warmup (%llu) + window (%llu) exceed "
                   "the interval (%llu)",
                   static_cast<unsigned long long>(warmupUops),
                   static_cast<unsigned long long>(windowUops),
                   static_cast<unsigned long long>(intervalUops));
+    if (!std::isfinite(ciTargetPct) || ciTargetPct < 0.0)
+        SPB_FATAL("sample spec: ci= must be a finite percentage (got %g)",
+                  ciTargetPct);
     if (ciTargetPct > 0.0 && minWindows < 2)
         SPB_FATAL("sample spec: adaptive ci= needs min>=2 windows");
 }

@@ -116,11 +116,8 @@ System::runSampled(const std::function<bool()> &interrupt)
     // Detailed phases run the plain run() loop, each under its own
     // cycle limit. Single core by construction (setupSampling).
     auto run_detailed_until = [&](const char *phase, auto done) {
-        advanceUntil(done,
-                     clock_.now +
-                         window_budget * config_.cyclesPerUopLimit +
-                         100'000,
-                     phase, interrupt);
+        advanceUntil(done, cycleLimit(clock_.now, window_budget), phase,
+                     interrupt);
     };
 
     // Warming pulls uops without advancing the clock, so the interrupt

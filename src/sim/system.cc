@@ -242,9 +242,19 @@ System::run(const std::function<bool()> &interrupt)
                 return false;
         return true;
     };
-    advanceUntil(all_done, target * config_.cyclesPerUopLimit + 100'000,
-                 "simulation", interrupt);
+    advanceUntil(all_done, cycleLimit(0, target), "simulation", interrupt);
     return finishRun();
+}
+
+Cycle
+System::cycleLimit(Cycle from, std::uint64_t uops) const
+{
+    Cycle limit = 0;
+    if (__builtin_mul_overflow(uops, config_.cyclesPerUopLimit, &limit) ||
+        __builtin_add_overflow(limit, Cycle{100'000}, &limit) ||
+        __builtin_add_overflow(limit, from, &limit))
+        return kNeverCycle;
+    return limit;
 }
 
 void

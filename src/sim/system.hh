@@ -230,6 +230,11 @@ class System
     [[noreturn]] void throwInterrupted() const;
     [[noreturn]] void failCycleLimit(const char *phase) const;
 
+    /** Cycle limit of a detailed phase that starts at @p from and
+     *  commits @p uops per core: from + uops * cyclesPerUopLimit +
+     *  100'000, saturating rather than wrapping for huge budgets. */
+    Cycle cycleLimit(Cycle from, std::uint64_t uops) const;
+
     /** End of a run: final stats, the --check=full audit, and the
      *  result. */
     SimResult finishRun();

@@ -1,6 +1,6 @@
 #include "trace/champsim/source.hh"
 
-#include <cstdlib>
+#include <charconv>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -20,9 +20,10 @@ parseCount(const std::string &key, const std::string &text)
 {
     if (text.empty())
         SPB_FATAL("trace spec: empty value for '%s'", key.c_str());
-    char *end = nullptr;
-    const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size())
+    std::uint64_t v = 0;
+    const char *end = text.c_str() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.c_str(), end, v);
+    if (ec != std::errc() || ptr != end)
         SPB_FATAL("trace spec: bad count '%s' for '%s'", text.c_str(),
                   key.c_str());
     return v;

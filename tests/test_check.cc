@@ -13,6 +13,7 @@
 #include "check/shadow_mem.hh"
 #include "common/clock.hh"
 #include "cpu/store_buffer.hh"
+#include "exp/options.hh"
 #include "mem/memory_system.hh"
 
 namespace spburst
@@ -35,14 +36,16 @@ class CheckTest : public ::testing::Test
 // Levels, counters, macro behaviour
 // ---------------------------------------------------------------------
 
+// --check=NAME parses through the option table's names (levelName).
 TEST_F(CheckTest, ParseAndNameRoundTrip)
 {
     using check::Level;
-    EXPECT_EQ(check::parseLevel("off"), Level::Off);
-    EXPECT_EQ(check::parseLevel("fast"), Level::Fast);
-    EXPECT_EQ(check::parseLevel("full"), Level::Full);
-    for (Level l : {Level::Off, Level::Fast, Level::Full})
-        EXPECT_EQ(check::parseLevel(check::levelName(l)), l);
+    SystemConfig cfg;
+    for (Level l : {Level::Off, Level::Fast, Level::Full}) {
+        exp::configOption("check").parse(cfg, check::levelName(l));
+        EXPECT_EQ(check::level(), l);
+    }
+    EXPECT_STREQ(check::levelName(Level::Full), "full");
 }
 
 TEST_F(CheckTest, LevelsGateEnabledAndFull)

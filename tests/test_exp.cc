@@ -36,13 +36,8 @@ smallSpec(std::uint64_t uops = 5'000)
     spec.base = makeConfig("x264", 56, StorePrefetchPolicy::AtCommit);
     spec.base.maxUopsPerCore = uops;
     spec.workloads = {"x264", "bwaves"};
-    spec.axes.push_back(exp::sbSizeAxis({14, 56}));
-    exp::Axis strategy{"strategy", {}};
-    strategy.variants.push_back(
-        {"at-commit", [](SystemConfig &cfg) { cfg.useSpb = false; }});
-    strategy.variants.push_back(
-        {"spb", [](SystemConfig &cfg) { cfg.useSpb = true; }});
-    spec.axes.push_back(std::move(strategy));
+    spec.axes.push_back({"sb", {"14", "56"}});
+    spec.axes.push_back({"strategy", {"at-commit", "spb"}});
     return spec;
 }
 
@@ -112,10 +107,7 @@ TEST(Spec, MixSeedAvalanches)
 TEST(SpecDeathTest, DuplicateVariantsAreFatal)
 {
     exp::ExperimentSpec spec = smallSpec();
-    exp::Axis dup{"dup", {}};
-    dup.variants.push_back({"a", [](SystemConfig &) {}});
-    dup.variants.push_back({"b", [](SystemConfig &) {}});
-    spec.axes.push_back(std::move(dup));
+    spec.axes.push_back({"seed", {"1", "1"}});
     EXPECT_EXIT(spec.expand(), testing::ExitedWithCode(1),
                 "duplicate job");
 }
@@ -235,25 +227,9 @@ TEST(Engine, PrefetcherGridIsDeterministicAcrossThreadsAndShards)
     spec.base = makeConfig("x264", 56, StorePrefetchPolicy::AtCommit);
     spec.base.maxUopsPerCore = 4'000;
     spec.workloads = {"x264"};
-    const std::pair<const char *, L1PrefetcherKind> kinds[] = {
-        {"none", L1PrefetcherKind::None},
-        {"stream", L1PrefetcherKind::Stream},
-        {"adaptive", L1PrefetcherKind::Adaptive},
-        {"best-offset", L1PrefetcherKind::BestOffset},
-        {"dspatch", L1PrefetcherKind::DSPatch},
-    };
-    exp::Axis l1pf{"l1pf", {}};
-    for (const auto &[label, kind] : kinds)
-        l1pf.variants.push_back({label, [kind = kind](SystemConfig &cfg) {
-                                     cfg.l1Prefetcher = kind;
-                                 }});
-    spec.axes.push_back(std::move(l1pf));
-    exp::Axis strategy{"strategy", {}};
-    strategy.variants.push_back(
-        {"at-commit", [](SystemConfig &cfg) { cfg.useSpb = false; }});
-    strategy.variants.push_back(
-        {"spb", [](SystemConfig &cfg) { cfg.useSpb = true; }});
-    spec.axes.push_back(std::move(strategy));
+    spec.axes.push_back(
+        {"l1pf", {"none", "stream", "adaptive", "best-offset", "dspatch"}});
+    spec.axes.push_back({"strategy", {"at-commit", "spb"}});
     const auto jobs = spec.expand();
     ASSERT_EQ(jobs.size(), 10u);
 

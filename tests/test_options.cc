@@ -1,0 +1,224 @@
+/**
+ * @file
+ * Tests for the option table (src/exp/options.*) and the front ends
+ * built on it. ConfigOptions.* walk the table and hold every row to its
+ * scope: a Key row must change exp::configKey, a Host row must change
+ * neither the key nor any statistic outside check.*. RunCli.* and
+ * SweepCli.* drive the built spburst_run and spburst_sweep binaries.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include <sys/wait.h>
+
+#include "check/check.hh"
+#include "exp/options.hh"
+#include "exp/spec.hh"
+#include "sim/system.hh"
+
+namespace spburst
+{
+namespace
+{
+
+/** A row's value, "" for a flag that is given, or nullopt for an
+ *  option left off the command line. */
+using Setting = std::optional<std::string>;
+
+/** Two settings for each row of the table, and for no other name. */
+const std::map<std::string, std::pair<Setting, Setting>> kSettings = {
+    {"workload", {"x264", "mcf"}},
+    {"trace", {"a.champsim", "a.champsim,skip=10"}},
+    {"sb", {"14", "28"}},
+    {"policy", {"at-execute", "at-commit"}},
+    {"strategy", {"at-commit", "spb"}},
+    {"spb", {std::nullopt, ""}},
+    {"spb-n", {"32", "48"}},
+    {"spb-dynamic", {std::nullopt, ""}},
+    {"spb-backward", {std::nullopt, ""}},
+    {"ideal", {std::nullopt, ""}},
+    {"l1pf", {"stream", "bop"}},
+    {"core", {"skylake", "SLM"}},
+    {"threads", {"1", "2"}},
+    {"uops", {"2000", "3000"}},
+    {"seed", {"1", "2"}},
+    {"sample", {"interval=5000,window=1000", "interval=5000,window=500"}},
+    {"check", {"off", "full"}},
+    {"scheduler", {"calendar", "heap"}},
+    {"no-fast-forward", {std::nullopt, ""}},
+};
+
+/** A 2k-uop x264 config with @p row set to @p setting. */
+SystemConfig
+configWith(const exp::ConfigOption &row, const Setting &setting)
+{
+    SystemConfig cfg = makeConfig("x264", 56, StorePrefetchPolicy::AtCommit);
+    cfg.maxUopsPerCore = 2'000;
+    if (setting)
+        row.parse(cfg, *setting);
+    return cfg;
+}
+
+TEST(ConfigOptions, SettingsCoverExactlyTheTable)
+{
+    std::set<std::string> rows, covered;
+    for (const exp::ConfigOption &row : exp::configOptions())
+        EXPECT_TRUE(rows.insert(row.name).second) << row.name;
+    for (const auto &entry : kSettings)
+        covered.insert(entry.first);
+    EXPECT_EQ(rows, covered);
+}
+
+TEST(ConfigOptions, EveryKeyRowChangesTheConfigKey)
+{
+    for (const exp::ConfigOption &row : exp::configOptions()) {
+        if (row.scope != exp::Scope::Key)
+            continue;
+        const auto &[a, b] = kSettings.at(row.name);
+        EXPECT_NE(exp::configKey(configWith(row, a)),
+                  exp::configKey(configWith(row, b)))
+            << "--" << row.name;
+    }
+}
+
+TEST(ConfigOptions, EveryHostRowLeavesKeyAndStatisticsAlone)
+{
+    const check::Level saved = check::level();
+    for (const exp::ConfigOption &row : exp::configOptions()) {
+        if (row.scope != exp::Scope::Host)
+            continue;
+        std::vector<std::string> keys;
+        std::vector<std::vector<std::pair<std::string, double>>> stats(2);
+        for (const Setting &setting : {kSettings.at(row.name).first,
+                                       kSettings.at(row.name).second}) {
+            const SystemConfig cfg = configWith(row, setting);
+            keys.push_back(exp::configKey(cfg));
+            const StatSet all = runSystem(cfg).toStatSet();
+            for (const auto &entry : all.entries())
+                if (entry.first.rfind("check.", 0) != 0)
+                    stats[keys.size() - 1].push_back(entry);
+            check::setLevel(saved);
+        }
+        EXPECT_EQ(keys[0], keys[1]) << "--" << row.name;
+        EXPECT_EQ(stats[0], stats[1]) << "--" << row.name;
+    }
+}
+
+/** Run a built tool; (exit code, stdout + stderr). A value the parser
+ *  let through would start a long run, so timeout fails it (124). */
+std::pair<int, std::string>
+runTool(const std::string &command)
+{
+    FILE *pipe = popen(("timeout 60 " + command + " 2>&1").c_str(), "r");
+    EXPECT_NE(pipe, nullptr);
+    std::string out;
+    char buf[4096];
+    for (std::size_t n; (n = fread(buf, 1, sizeof(buf), pipe)) > 0;)
+        out.append(buf, n);
+    const int status = pclose(pipe);
+    return {WIFEXITED(status) ? WEXITSTATUS(status) : -1, out};
+}
+
+void
+expectHelpLists(const std::string &tool,
+                const std::vector<std::string> &options)
+{
+    const auto [code, out] = runTool(tool + " --help");
+    EXPECT_EQ(code, 0);
+    for (const std::string &name : options)
+        EXPECT_NE(out.find("  --" + name), std::string::npos) << name;
+}
+
+/** Each argument must exit 1 with a fatal: naming its option. */
+void
+expectFatal(const std::string &command,
+            const std::vector<std::pair<std::string, std::string>> &cases)
+{
+    for (const auto &[arg, option] : cases) {
+        const auto [code, out] = runTool(command + " " + arg);
+        EXPECT_EQ(code, 1) << arg << "\n" << out;
+        EXPECT_NE(out.find("fatal: --" + option), std::string::npos)
+            << arg << "\n" << out;
+    }
+}
+
+TEST(RunCli, HelpListsEveryRow)
+{
+    expectHelpLists(SPBURST_RUN_BIN,
+                    {"workload", "trace", "sb", "policy", "spb", "spb-n",
+                     "spb-dynamic", "spb-backward", "ideal", "l1pf", "core",
+                     "threads", "uops", "seed", "sample", "check",
+                     "scheduler", "no-fast-forward", "format", "jobs", "out",
+                     "list-workloads"});
+}
+
+TEST(RunCli, MalformedValuesFailBeforeAnyJob)
+{
+    expectFatal(std::string(SPBURST_RUN_BIN) + " --uops=100000000",
+                {{"--sb=abc", "sb"},
+                 {"--uops=10x", "uops"},
+                 {"--uops=-5", "uops"},
+                 {"--uops=0", "uops"},
+                 {"--seed=+5", "seed"},
+                 {"--seed=18446744073709551616", "seed"},
+                 {"--threads=abc", "threads"},
+                 {"--format=yaml", "format"},
+                 {"--spb-n=1", "spb-n"},
+                 {"--workload=x264,nope", "workload"},
+                 {"--trace=x.champsim,skip=-1", "trace"},
+                 {"--sample=interval=-5000,window=1000", "sample"},
+                 {"--sample=interval=5000,window=1,"
+                  "warmup=18446744073709551615",
+                  "sample"}});
+}
+
+TEST(SweepCli, HelpListsEveryRow)
+{
+    expectHelpLists(SPBURST_SWEEP_BIN,
+                    {"workload", "trace", "sb", "strategy", "spb-n", "l1pf",
+                     "core", "threads", "uops", "seed", "sample", "check",
+                     "per-job-seeds", "jobs", "shards", "out", "resume",
+                     "timeout-s", "retries", "dry-run", "no-summary",
+                     "quiet"});
+}
+
+TEST(SweepCli, MalformedValuesFailBeforeAnyJob)
+{
+    expectFatal(std::string(SPBURST_SWEEP_BIN) +
+                    " --workload=x264 --uops=100000000 --quiet",
+                {{"--sb=14,abc", "sb"},
+                 {"--spb-n=8,x", "spb-n"},
+                 {"--threads=-1", "threads"},
+                 {"--retries=-1", "retries"},
+                 {"--timeout-s=abc", "timeout-s"},
+                 {"--timeout-s=1e309", "timeout-s"},
+                 {"--timeout-s=nan", "timeout-s"},
+                 {"--shards=abc", "shards"},
+                 {"--strategy=spb,SPB", "strategy"},
+                 {"--core=SKL,skl", "core"}});
+}
+
+TEST(SweepCli, DryRunPrintsTheRecordedKeys)
+{
+    // Keys as the hand-written parsers the table replaced printed
+    // them: existing JSONL files must keep resuming.
+    const auto [code, out] = runTool(std::string(SPBURST_SWEEP_BIN) +
+                                     " --dry-run --workload=x264,mcf"
+                                     " --sb=14,56");
+    EXPECT_EQ(code, 0);
+    const std::string tail = "|p2|spb0:48:0:0|i0|c0|pf1|t1|s1|u100000|"
+                             "skylake|m2:8\n";
+    EXPECT_EQ(out, "x264|sb14" + tail + "x264|sb56" + tail + "mcf|sb14" +
+                       tail + "mcf|sb56" + tail + "# 4 jobs\n");
+}
+
+} // namespace
+} // namespace spburst

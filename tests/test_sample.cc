@@ -146,6 +146,24 @@ TEST(SampleSpec, CanonicalExcludesCheckpointPath)
     EXPECT_NE(ci.canonical().find("ci="), std::string::npos);
 }
 
+TEST(SampleSpec, RejectsWarmupPlusWindowThatWrapsAround)
+{
+    FatalThrowGuard guard;
+    // 2^64 - 1 + 1 wraps to 0, which an unchecked sum let through.
+    EXPECT_THROW(SampleSpec::parse("interval=5000,window=1,"
+                                   "warmup=18446744073709551615"),
+                 FatalError);
+}
+
+TEST(SampleSpec, RejectsNonFiniteCi)
+{
+    FatalThrowGuard guard;
+    EXPECT_THROW(SampleSpec::parse("interval=5000,window=1000,ci=1e309"),
+                 FatalError);
+    EXPECT_THROW(SampleSpec::parse("interval=5000,window=1000,ci=nan"),
+                 FatalError);
+}
+
 // ---------------------------------------------------------------------
 // Confidence-interval arithmetic
 // ---------------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hh"
 #include "energy/energy_model.hh"
 #include "sim/system.hh"
 
@@ -33,6 +34,21 @@ TEST(SystemIntegration, RunsToCompletion)
     EXPECT_GE(r.committedUops(), 40'000u);
     EXPECT_GT(r.cycles, 0u);
     EXPECT_GT(r.ipc(), 0.0);
+}
+
+// The cycle limit is uops * cyclesPerUopLimit + 100k: at 2^62 uops the
+// product wrapped to 0, and the run died at cycle 100,001 with a false
+// "exceeded the cycle limit". It saturates now, so only the interrupt
+// stops this run.
+TEST(SystemIntegration, HugeUopBudgetDoesNotWrapTheCycleLimit)
+{
+    SystemConfig cfg = makeConfig("x264", 56, StorePrefetchPolicy::AtCommit);
+    cfg.maxUopsPerCore = std::uint64_t{1} << 62;
+    System sys(cfg);
+    FatalThrowGuard guard;
+    EXPECT_THROW(sys.run([&sys] { return sys.clock().now > 200'000; }),
+                 SimInterrupted);
+    EXPECT_GT(sys.clock().now, 200'000u);
 }
 
 TEST(SystemIntegration, DeterministicUnderSeed)

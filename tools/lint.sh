@@ -3,9 +3,8 @@
 # order:
 #
 #   1. spburst_lint — the repo-specific analyzer (src/analysis): the
-#      determinism, event-callback, stat-name, state-coverage, hot-path
-#      and config-key rules. Built from source here; no external
-#      dependency.
+#      determinism, event-callback, stat-name, state-coverage and
+#      hot-path rules. Built from source here; no external dependency.
 #   2. clang-tidy with the repo's .clang-tidy profile.
 #
 # Usage: tools/lint.sh [build-dir] [extra clang-tidy args...]

@@ -20,11 +20,6 @@
  * Exit codes: 0 clean, 1 findings, 2 usage/read error.
  */
 
-/* spburst-lint: config-host-only(compdb, tree, root, rule, sarif,
-       github, list-rules)
-   -- the linter configures analysis, never simulation: nothing here
-   can affect simulated results, so no option folds into configKey. */
-
 #include <chrono>
 #include <cstdio>
 #include <filesystem>

@@ -10,23 +10,14 @@
  *   spburst_run --list-workloads
  */
 
-/* spburst-lint: config-host-only(format, check, scheduler,
-       no-fast-forward, jobs, out, list-workloads, help)
-   -- output format, assertion level, event-queue implementation,
-   warm-up skipping, host parallelism and result sinks never change
-   simulated results (the scheduler kinds are verified equivalent by
-   the tier-1 determinism suite), so none folds into configKey. */
-
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "check/check.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "cpu/params.hh"
 #include "exp/engine.hh"
+#include "exp/options.hh"
 #include "sim/report.hh"
 #include "sim/system.hh"
 #include "trace/workloads.hh"
@@ -36,201 +27,16 @@ using namespace spburst;
 namespace
 {
 
-struct Options
-{
-    std::vector<std::string> workloads{"x264"};
-    bool workloadsExplicit = false;
-    /** ChampSim trace workloads (--trace=, repeatable; kept separate
-     *  from --workload because trace specs contain commas). */
-    std::vector<std::string> traces;
-    unsigned sb = 56;
-    StorePrefetchPolicy policy = StorePrefetchPolicy::AtCommit;
-    bool spb = false;
-    bool ideal = false;
-    unsigned spbN = 48;
-    bool spbDynamic = false;
-    bool spbBackward = false;
-    L1PrefetcherKind l1pf = L1PrefetcherKind::Stream;
-    std::string core = "skylake";
-    int threads = 1;
-    std::uint64_t uops = 200'000;
-    std::uint64_t seed = 1;
-    sample::SampleSpec sample;
-    std::string format = "text";
-    SchedulerKind scheduler = SchedulerKind::Calendar;
-    bool fastForward = true;
-    unsigned jobs = 0;   // host threads for multi-workload runs
-    std::string out;     // optional JSONL result sink
-};
-
 void
-usage()
+listWorkloads()
 {
-    std::puts(
-        "spburst_run — run the SPB simulator\n"
-        "  --workload=NAME[,NAME...] | all | sb-bound | parsec\n"
-        "  --trace=FILE[,skip=N][,warmup=N][,roi=N]\n"
-        "                         replay a ChampSim trace (.champsim,\n"
-        "                         .gz or .xz; repeatable)\n"
-        "  --sb=N                 store-buffer entries (default 56)\n"
-        "  --policy=none|at-execute|at-commit   (default at-commit)\n"
-        "  --spb                  enable Store-Prefetch Bursts\n"
-        "  --spb-n=N              SPB window length (default 48)\n"
-        "  --spb-dynamic          dynamic-threshold variant\n"
-        "  --spb-backward         backward-burst extension\n"
-        "  --ideal                ideal (1024-entry) SB upper bound\n"
-        "  --l1pf=none|stream|aggressive|adaptive|best-offset|dspatch\n"
-        "  --core=skylake|SLM|NHL|HSW|SKL|SNC    (default skylake)\n"
-        "  --threads=N            cores/threads (default 1)\n"
-        "  --uops=N               committed uops per core (default 200k)\n"
-        "  --seed=N               workload seed (default 1)\n"
-        "  --sample=interval=N,window=M[,warmup=K][,ci=P][,min=W]\n"
-        "          [,ckpt=FILE]   SMARTS-style interval sampling: warm\n"
-        "                         functionally, measure M-uop detailed\n"
-        "                         windows, report mean +/- 95% CI; ckpt=\n"
-        "                         reuses warm state across a policy sweep\n"
-        "  --format=text|json|csv (default text)\n"
-        "  --check=off|fast|full  invariant checking level (default fast)\n"
-        "  --scheduler=calendar|heap   event-queue implementation\n"
-        "                         (host-side only; default calendar)\n"
-        "  --no-fast-forward      tick every cycle even when all cores\n"
-        "                         are quiescent (host-side only)\n"
-        "  --jobs=N               host threads for multi-workload runs\n"
-        "                         (0 = all hardware threads; default)\n"
-        "  --out=FILE             also append per-run JSONL results\n"
-        "  --list-workloads       print the workload registry and exit");
-}
-
-std::vector<std::string>
-expandWorkloads(const std::string &spec)
-{
-    if (spec == "all")
-        return allSpecNames();
-    if (spec == "sb-bound")
-        return sbBoundSpecNames();
-    if (spec == "parsec")
-        return allParsecNames();
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos != std::string::npos) {
-        const std::size_t comma = spec.find(',', pos);
-        out.push_back(spec.substr(
-            pos, comma == std::string::npos ? comma : comma - pos));
-        pos = comma == std::string::npos ? comma : comma + 1;
-    }
-    return out;
-}
-
-CoreParams
-coreByName(const std::string &name)
-{
-    if (name == "skylake")
-        return skylakeParams();
-    for (const CoreParams &p : tableIIPresets())
-        if (p.name == name)
-            return p;
-    SPB_FATAL("unknown core preset '%s'", name.c_str());
-}
-
-Options
-parse(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *prefix) -> const char * {
-            const std::size_t n = std::strlen(prefix);
-            return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n
-                                                  : nullptr;
-        };
-        const char *v = nullptr;
-        if ((v = value("--workload=")) != nullptr) { // spburst-lint: config(key)
-            o.workloads = expandWorkloads(v);
-            o.workloadsExplicit = true;
-        } else if ((v = value("--trace=")) != nullptr) { // spburst-lint: config(key)
-            o.traces.push_back(std::string("trace:") + v);
-        } else if ((v = value("--sb=")) != nullptr) { // spburst-lint: config(key)
-            o.sb = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if ((v = value("--policy=")) != nullptr) { // spburst-lint: config(key)
-            if (std::strcmp(v, "none") == 0)
-                o.policy = StorePrefetchPolicy::None;
-            else if (std::strcmp(v, "at-execute") == 0)
-                o.policy = StorePrefetchPolicy::AtExecute;
-            else if (std::strcmp(v, "at-commit") == 0)
-                o.policy = StorePrefetchPolicy::AtCommit;
-            else
-                SPB_FATAL("unknown policy '%s'", v);
-        } else if (arg == "--spb") { // spburst-lint: config(key)
-            o.spb = true;
-        } else if ((v = value("--spb-n=")) != nullptr) { // spburst-lint: config(key)
-            o.spbN = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (arg == "--spb-dynamic") { // spburst-lint: config(key)
-            o.spbDynamic = true;
-        } else if (arg == "--spb-backward") { // spburst-lint: config(key)
-            o.spbBackward = true;
-        } else if (arg == "--ideal") { // spburst-lint: config(key)
-            o.ideal = true;
-        } else if ((v = value("--l1pf=")) != nullptr) { // spburst-lint: config(key)
-            if (std::strcmp(v, "none") == 0)
-                o.l1pf = L1PrefetcherKind::None;
-            else if (std::strcmp(v, "stream") == 0)
-                o.l1pf = L1PrefetcherKind::Stream;
-            else if (std::strcmp(v, "aggressive") == 0)
-                o.l1pf = L1PrefetcherKind::Aggressive;
-            else if (std::strcmp(v, "adaptive") == 0)
-                o.l1pf = L1PrefetcherKind::Adaptive;
-            else if (std::strcmp(v, "best-offset") == 0 ||
-                     std::strcmp(v, "bop") == 0)
-                o.l1pf = L1PrefetcherKind::BestOffset;
-            else if (std::strcmp(v, "dspatch") == 0)
-                o.l1pf = L1PrefetcherKind::DSPatch;
-            else
-                SPB_FATAL("unknown prefetcher '%s'", v);
-        } else if ((v = value("--core=")) != nullptr) { // spburst-lint: config(key)
-            o.core = v;
-        } else if ((v = value("--threads=")) != nullptr) { // spburst-lint: config(key)
-            o.threads = static_cast<int>(std::strtol(v, nullptr, 10));
-        } else if ((v = value("--uops=")) != nullptr) { // spburst-lint: config(key)
-            o.uops = std::strtoull(v, nullptr, 10);
-        } else if ((v = value("--seed=")) != nullptr) { // spburst-lint: config(key)
-            o.seed = std::strtoull(v, nullptr, 10);
-        } else if ((v = value("--sample=")) != nullptr) { // spburst-lint: config(key)
-            o.sample = sample::SampleSpec::parse(v);
-        } else if ((v = value("--format=")) != nullptr) {
-            o.format = v;
-        } else if ((v = value("--check=")) != nullptr) {
-            check::setLevel(check::parseLevel(v));
-        } else if ((v = value("--scheduler=")) != nullptr) {
-            if (std::strcmp(v, "calendar") == 0)
-                o.scheduler = SchedulerKind::Calendar;
-            else if (std::strcmp(v, "heap") == 0)
-                o.scheduler = SchedulerKind::LegacyHeap;
-            else
-                SPB_FATAL("unknown scheduler '%s'", v);
-        } else if (arg == "--no-fast-forward") {
-            o.fastForward = false;
-        } else if ((v = value("--jobs=")) != nullptr) {
-            o.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if ((v = value("--out=")) != nullptr) {
-            o.out = v;
-        } else if (arg == "--list-workloads") {
-            std::printf("%-14s %-8s %s\n", "name", "suite", "SB-bound");
-            for (const auto &p : specProfiles())
-                std::printf("%-14s %-8s %s\n", p.name.c_str(), "spec",
-                            p.sbBound ? "yes" : "no");
-            for (const auto &p : parsecProfiles())
-                std::printf("%-14s %-8s %s\n", p.name.c_str(), "parsec",
-                            p.sbBound ? "yes" : "no");
-            std::exit(0);
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            std::exit(0);
-        } else {
-            usage();
-            SPB_FATAL("unknown option '%s'", arg.c_str());
-        }
-    }
-    return o;
+    std::printf("%-14s %-8s %s\n", "name", "suite", "SB-bound");
+    for (const auto &p : specProfiles())
+        std::printf("%-14s %-8s %s\n", p.name.c_str(), "spec",
+                    p.sbBound ? "yes" : "no");
+    for (const auto &p : parsecProfiles())
+        std::printf("%-14s %-8s %s\n", p.name.c_str(), "parsec",
+                    p.sbBound ? "yes" : "no");
 }
 
 } // namespace
@@ -238,40 +44,66 @@ parse(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    Options o = parse(argc, argv);
+    SystemConfig base;
+    base.sbSize = 56;
+    base.maxUopsPerCore = 200'000;
+    std::vector<std::string> workloads;
+    std::vector<std::string> traces;
+    std::string format = "text";
+    unsigned host_threads = 0;
+    std::string out;
 
-    // --trace entries join (or, with no explicit --workload, replace)
-    // the workload list; downstream they are ordinary workload names.
-    if (!o.traces.empty() && !o.workloadsExplicit)
-        o.workloads.clear();
-    o.workloads.insert(o.workloads.end(), o.traces.begin(),
-                       o.traces.end());
+    exp::CommandLine cli(
+        "spburst_run",
+        "spburst_run — run the SPB simulator (defaults: --workload=x264\n"
+        "--sb=56 --uops=200000; --trace alone replaces the workload)");
+    cli.workloads("workload", workloads);
+    cli.workloads("trace", traces);
+    for (const char *row :
+         {"sb", "policy", "spb", "spb-n", "spb-dynamic", "spb-backward",
+          "ideal", "l1pf", "core", "threads", "uops", "seed", "sample",
+          "check", "scheduler", "no-fast-forward"})
+        cli.config(row, base);
+    cli.option("format", "text|json|csv", "output format (default text)",
+               [&format](std::string_view v) {
+                   if (v != "text" && v != "json" && v != "csv")
+                       SPB_FATAL("unknown format '%.*s' (expected "
+                                 "text|json|csv)",
+                                 static_cast<int>(v.size()), v.data());
+                   format = v;
+               });
+    cli.count("jobs",
+              "host threads for multi-workload runs\n"
+              "(0 = all hardware threads; default)",
+              host_threads, 0, 4096);
+    cli.option("out", "FILE", "also append per-run JSONL results",
+               [&out](std::string_view v) { out = v; });
+    cli.option("list-workloads", "", "print the workload registry and exit",
+               [](std::string_view) {
+                   listWorkloads();
+                   std::exit(0);
+               });
+    cli.parse(argc, argv);
+
+    // --trace entries follow the --workload list; with neither given
+    // the run is x264.
+    workloads.insert(workloads.end(), traces.begin(), traces.end());
+    if (workloads.empty())
+        workloads.push_back(base.workload);
 
     // The multi-workload path runs on the experiment engine: one job
     // per workload, executed on --jobs host threads, results returned
     // in workload order (bit-identical to the old serial loop).
     std::vector<exp::Job> jobs;
-    for (const auto &w : o.workloads) {
-        SystemConfig cfg = makeConfig(w, o.sb, o.policy, o.spb, o.ideal);
-        cfg.coreParams = coreByName(o.core);
-        if (o.sb != 0)
-            cfg.sbSize = o.sb;
-        cfg.spb.checkInterval = o.spbN;
-        cfg.spb.dynamicThreshold = o.spbDynamic;
-        cfg.spb.backwardBursts = o.spbBackward;
-        cfg.l1Prefetcher = o.l1pf;
-        cfg.threads = o.threads;
-        cfg.maxUopsPerCore = o.uops;
-        cfg.seed = o.seed;
-        cfg.sample = o.sample;
-        cfg.scheduler = o.scheduler;
-        cfg.fastForward = o.fastForward;
+    for (const auto &w : workloads) {
+        SystemConfig cfg = base;
+        cfg.workload = w;
         jobs.push_back(exp::Job{exp::configKey(cfg), std::move(cfg)});
     }
 
     exp::EngineOptions engine;
-    engine.hostThreads = jobs.size() > 1 ? o.jobs : 1;
-    engine.jsonlPath = o.out;
+    engine.hostThreads = jobs.size() > 1 ? host_threads : 1;
+    engine.jsonlPath = out;
     const exp::ExperimentReport report = exp::runJobs(jobs, engine);
 
     std::vector<SimResult> results;
@@ -283,11 +115,11 @@ main(int argc, char **argv)
         results.push_back(outcome.result);
     }
 
-    if (o.format == "json") {
+    if (format == "json") {
         std::printf("%s\n", toJson(results).c_str());
-    } else if (o.format == "csv") {
+    } else if (format == "csv") {
         std::printf("%s", toCsv(results).c_str());
-    } else if (o.format == "text") {
+    } else {
         TextTable table("results",
                         {"workload", "cycles", "IPC", "SB-stall%",
                          "L1D load miss%", "drain miss%", "SPB bursts",
@@ -323,8 +155,6 @@ main(int argc, char **argv)
                         r.sample.get("sb_stall_per_kuop_mean"),
                         r.sample.get("sb_stall_per_kuop_ci95"));
         }
-    } else {
-        SPB_FATAL("unknown format '%s'", o.format.c_str());
     }
     return 0;
 }

@@ -16,346 +16,94 @@
  * files with `sort`.
  */
 
-/* spburst-lint: config-host-only(check, jobs, shards, out, resume,
-       timeout-s, retries, dry-run, no-summary, quiet, help)
-   -- assertion level, host parallelism and process sharding, result
-   sinks and sweep scheduling (resume/timeout/retry) never change
-   per-job simulated results: every job is keyed and seeded
-   independently of the host schedule. */
-
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <unistd.h>
 #include <vector>
 
-#include "check/check.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "cpu/params.hh"
 #include "exp/engine.hh"
+#include "exp/options.hh"
 #include "sim/report.hh"
-#include "trace/workloads.hh"
 
 using namespace spburst;
-
-namespace
-{
-
-struct Options
-{
-    std::vector<std::string> workloads;
-    /** ChampSim trace workloads (--trace=, repeatable; kept separate
-     *  from --workload because trace specs contain commas). */
-    std::vector<std::string> traces;
-    std::vector<unsigned> sbs{56};
-    std::vector<std::string> strategies{"at-commit"};
-    std::vector<unsigned> spbNs;
-    std::vector<std::string> l1pfs;
-    std::vector<std::string> cores;
-    int simThreads = 1;
-    std::uint64_t uops = 100'000;
-    std::uint64_t seed = 1;
-    sample::SampleSpec sample;
-    bool perJobSeeds = false;
-
-    unsigned jobs = 0;
-    unsigned shards = 1;
-    std::string out;
-    bool resume = false;
-    double timeoutS = 0.0;
-    unsigned retries = 0; //!< extra attempts after the first
-    bool dryRun = false;
-    bool quiet = false;
-    bool summary = true;
-};
-
-void
-usage()
-{
-    std::puts(
-        "spburst_sweep — parallel, checkpointed configuration sweeps\n"
-        "grid axes (comma lists; each multiplies the grid):\n"
-        "  --workload=NAMES | all | sb-bound | parsec\n"
-        "  --trace=FILE[,skip=N][,warmup=N][,roi=N]\n"
-        "                         ChampSim trace workload (repeatable;\n"
-        "                         --workload and/or --trace required)\n"
-        "  --sb=N,...             SB sizes (default 56)\n"
-        "  --strategy=none|at-execute|at-commit|spb|ideal,...\n"
-        "  --spb-n=N,...          SPB window lengths\n"
-        "  --l1pf=none|stream|aggressive|adaptive|best-offset|dspatch,...\n"
-        "  --core=skylake|SLM|NHL|HSW|SKL|SNC,...\n"
-        "per-job configuration:\n"
-        "  --sim-threads=N        simulated cores per job (default 1)\n"
-        "  --uops=N               committed uops per core (default 100k)\n"
-        "  --seed=N               base seed (default 1)\n"
-        "  --sample=interval=N,window=M[,warmup=K][,ci=P][,min=W]\n"
-        "          [,ckpt=FILE]   interval sampling for every job; with\n"
-        "                         ckpt= the whole sweep warms once and\n"
-        "                         replays the checkpoint per policy\n"
-        "  --per-job-seeds        derive a distinct seed per grid point\n"
-        "  --check=off|fast|full  invariant checking level (default fast)\n"
-        "engine:\n"
-        "  --jobs=N               host threads (0 = all hardware; default)\n"
-        "  --shards=N             fork N worker processes; each runs a\n"
-        "                         round-robin slice of the grid with its\n"
-        "                         own --jobs pool and the parent merges\n"
-        "                         the per-shard JSONL files (default 1)\n"
-        "  --out=FILE             JSONL result sink (checkpointed)\n"
-        "  --resume               skip jobs already present in --out\n"
-        "  --timeout-s=S          per-attempt wall-clock timeout\n"
-        "  --retries=N            extra attempts per failed job\n"
-        "  --dry-run              print the job list and exit\n"
-        "  --no-summary           skip the final summary table\n"
-        "  --quiet                no live progress line");
-}
-
-std::vector<std::string>
-splitList(const std::string &spec)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= spec.size()) {
-        const std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos) {
-            out.push_back(spec.substr(pos));
-            break;
-        }
-        out.push_back(spec.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
-
-std::vector<unsigned>
-splitUnsigned(const std::string &spec)
-{
-    std::vector<unsigned> out;
-    for (const auto &item : splitList(spec))
-        out.push_back(
-            static_cast<unsigned>(std::strtoul(item.c_str(), nullptr,
-                                               10)));
-    return out;
-}
-
-std::vector<std::string>
-expandWorkloads(const std::string &spec)
-{
-    if (spec == "all")
-        return allSpecNames();
-    if (spec == "sb-bound")
-        return sbBoundSpecNames();
-    if (spec == "parsec")
-        return allParsecNames();
-    return splitList(spec);
-}
-
-exp::ConfigVariant
-strategyVariant(const std::string &name)
-{
-    StorePrefetchPolicy policy;
-    bool spb = false, ideal = false;
-    if (name == "none") {
-        policy = StorePrefetchPolicy::None;
-    } else if (name == "at-execute") {
-        policy = StorePrefetchPolicy::AtExecute;
-    } else if (name == "at-commit") {
-        policy = StorePrefetchPolicy::AtCommit;
-    } else if (name == "spb") {
-        policy = StorePrefetchPolicy::AtCommit;
-        spb = true;
-    } else if (name == "ideal") {
-        policy = StorePrefetchPolicy::AtCommit;
-        ideal = true;
-    } else {
-        SPB_FATAL("unknown strategy '%s'", name.c_str());
-    }
-    return {name, [policy, spb, ideal](SystemConfig &cfg) {
-                cfg.policy = policy;
-                cfg.useSpb = spb;
-                cfg.idealSb = ideal;
-            }};
-}
-
-exp::ConfigVariant
-l1pfVariant(const std::string &name)
-{
-    L1PrefetcherKind kind;
-    if (name == "none")
-        kind = L1PrefetcherKind::None;
-    else if (name == "stream")
-        kind = L1PrefetcherKind::Stream;
-    else if (name == "aggressive")
-        kind = L1PrefetcherKind::Aggressive;
-    else if (name == "adaptive")
-        kind = L1PrefetcherKind::Adaptive;
-    else if (name == "best-offset" || name == "bop")
-        kind = L1PrefetcherKind::BestOffset;
-    else if (name == "dspatch")
-        kind = L1PrefetcherKind::DSPatch;
-    else
-        SPB_FATAL("unknown prefetcher '%s'", name.c_str());
-    return {name,
-            [kind](SystemConfig &cfg) { cfg.l1Prefetcher = kind; }};
-}
-
-exp::ConfigVariant
-coreVariant(const std::string &name)
-{
-    CoreParams params = skylakeParams();
-    bool found = name == "skylake";
-    if (!found) {
-        for (const CoreParams &p : tableIIPresets()) {
-            if (p.name == name) {
-                params = p;
-                found = true;
-                break;
-            }
-        }
-    }
-    if (!found)
-        SPB_FATAL("unknown core preset '%s'", name.c_str());
-    return {name,
-            [params](SystemConfig &cfg) { cfg.coreParams = params; }};
-}
-
-Options
-parse(int argc, char **argv)
-{
-    Options o;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *prefix) -> const char * {
-            const std::size_t n = std::strlen(prefix);
-            return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n
-                                                  : nullptr;
-        };
-        const char *v = nullptr;
-        if ((v = value("--workload=")) != nullptr) { // spburst-lint: config(key)
-            o.workloads = expandWorkloads(v);
-        } else if ((v = value("--trace=")) != nullptr) { // spburst-lint: config(key)
-            o.traces.push_back(std::string("trace:") + v);
-        } else if ((v = value("--sb=")) != nullptr) { // spburst-lint: config(key)
-            o.sbs = splitUnsigned(v);
-        } else if ((v = value("--strategy=")) != nullptr) { // spburst-lint: config(key)
-            o.strategies = splitList(v);
-        } else if ((v = value("--spb-n=")) != nullptr) { // spburst-lint: config(key)
-            o.spbNs = splitUnsigned(v);
-        } else if ((v = value("--l1pf=")) != nullptr) { // spburst-lint: config(key)
-            o.l1pfs = splitList(v);
-        } else if ((v = value("--core=")) != nullptr) { // spburst-lint: config(key)
-            o.cores = splitList(v);
-        } else if ((v = value("--sim-threads=")) != nullptr) { // spburst-lint: config(key)
-            o.simThreads =
-                static_cast<int>(std::strtol(v, nullptr, 10));
-        } else if ((v = value("--uops=")) != nullptr) { // spburst-lint: config(key)
-            o.uops = std::strtoull(v, nullptr, 10);
-        } else if ((v = value("--seed=")) != nullptr) { // spburst-lint: config(key)
-            o.seed = std::strtoull(v, nullptr, 10);
-        } else if ((v = value("--sample=")) != nullptr) { // spburst-lint: config(key)
-            o.sample = sample::SampleSpec::parse(v);
-        } else if (arg == "--per-job-seeds") { // spburst-lint: config(key)
-            o.perJobSeeds = true;
-        } else if ((v = value("--check=")) != nullptr) {
-            check::setLevel(check::parseLevel(v));
-        } else if ((v = value("--jobs=")) != nullptr) {
-            o.jobs = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if ((v = value("--shards=")) != nullptr) {
-            o.shards = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-            if (o.shards == 0)
-                o.shards = 1;
-        } else if ((v = value("--out=")) != nullptr) {
-            o.out = v;
-        } else if (arg == "--resume") {
-            o.resume = true;
-        } else if ((v = value("--timeout-s=")) != nullptr) {
-            o.timeoutS = std::strtod(v, nullptr);
-        } else if ((v = value("--retries=")) != nullptr) {
-            o.retries = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (arg == "--dry-run") {
-            o.dryRun = true;
-        } else if (arg == "--no-summary") {
-            o.summary = false;
-        } else if (arg == "--quiet") {
-            o.quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            std::exit(0);
-        } else {
-            usage();
-            SPB_FATAL("unknown option '%s'", arg.c_str());
-        }
-    }
-    o.workloads.insert(o.workloads.end(), o.traces.begin(),
-                       o.traces.end());
-    if (o.workloads.empty()) {
-        usage();
-        SPB_FATAL("--workload or --trace is required");
-    }
-    return o;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    const Options o = parse(argc, argv);
-
     exp::ExperimentSpec spec;
     spec.name = "spburst_sweep";
-    spec.workloads = o.workloads;
-    spec.base.threads = o.simThreads;
-    spec.base.maxUopsPerCore = o.uops;
-    spec.base.seed = o.seed;
-    spec.base.sample = o.sample;
-    spec.perJobSeeds = o.perJobSeeds;
+    spec.base.maxUopsPerCore = 100'000;
+    std::vector<std::string> traces;
+    // Grid axes in expansion order (later axes vary fastest); an axis
+    // left empty is not part of the grid.
+    std::vector<exp::Axis> axes = {{"sb", {"56"}},
+                                   {"strategy", {"at-commit"}},
+                                   {"spb-n", {}},
+                                   {"l1pf", {}},
+                                   {"core", {}}};
+    exp::EngineOptions engine;
+    unsigned retries = 0;
+    bool dry_run = false, quiet = false, no_summary = false;
 
-    spec.axes.push_back(exp::sbSizeAxis(o.sbs));
-    {
-        exp::Axis strategies{"strategy", {}};
-        for (const auto &name : o.strategies)
-            strategies.variants.push_back(strategyVariant(name));
-        spec.axes.push_back(std::move(strategies));
-    }
-    if (!o.spbNs.empty())
-        spec.axes.push_back(exp::spbWindowAxis(o.spbNs));
-    if (!o.l1pfs.empty()) {
-        exp::Axis axis{"l1pf", {}};
-        for (const auto &name : o.l1pfs)
-            axis.variants.push_back(l1pfVariant(name));
-        spec.axes.push_back(std::move(axis));
-    }
-    if (!o.cores.empty()) {
-        exp::Axis axis{"core", {}};
-        for (const auto &name : o.cores)
-            axis.variants.push_back(coreVariant(name));
-        spec.axes.push_back(std::move(axis));
-    }
+    exp::CommandLine cli(
+        "spburst_sweep",
+        "spburst_sweep — parallel, checkpointed configuration sweeps\n"
+        "(--workload and/or --trace required; the comma lists of\n"
+        "--workload, --sb, --strategy, --spb-n, --l1pf and --core are\n"
+        "grid axes; defaults: --sb=56 --strategy=at-commit --uops=100000)");
+    cli.workloads("workload", spec.workloads);
+    cli.workloads("trace", traces);
+    for (exp::Axis &axis : axes)
+        cli.axis(axis.name, axis.values);
+    for (const char *row : {"threads", "uops", "seed", "sample", "check"})
+        cli.config(row, spec.base);
+    cli.flag("per-job-seeds", "derive a distinct seed per grid point",
+             spec.perJobSeeds);
+    cli.count("jobs", "host threads (0 = all hardware; default)",
+              engine.hostThreads, 0, 4096);
+    cli.count("shards",
+              "fork N worker processes; each runs a\n"
+              "round-robin slice of the grid with its\n"
+              "own --jobs pool and the parent merges\n"
+              "the per-shard JSONL files (default 1)",
+              engine.shards, 1, 4096);
+    cli.option("out", "FILE", "JSONL result sink (checkpointed)",
+               [&engine](std::string_view v) { engine.jsonlPath = v; });
+    cli.flag("resume", "skip jobs already present in --out", engine.resume);
+    cli.option("timeout-s", "S", "per-attempt wall-clock timeout",
+               [&engine](std::string_view v) {
+                   engine.timeoutSeconds = exp::parseReal(v);
+               });
+    cli.count("retries", "extra attempts per failed job", retries, 0, 1000);
+    cli.flag("dry-run", "print the job list and exit", dry_run);
+    cli.flag("no-summary", "skip the final summary table", no_summary);
+    cli.flag("quiet", "no live progress line", quiet);
+    cli.parse(argc, argv);
+
+    spec.workloads.insert(spec.workloads.end(), traces.begin(),
+                          traces.end());
+    if (spec.workloads.empty())
+        SPB_FATAL("--workload or --trace is required (see --help)");
+    for (const exp::Axis &axis : axes)
+        if (!axis.values.empty())
+            spec.axes.push_back(axis);
 
     const std::vector<exp::Job> jobs = spec.expand();
-    if (o.dryRun) {
+    if (dry_run) {
         for (const auto &job : jobs)
             std::printf("%s\n", job.key.c_str());
         std::printf("# %zu jobs\n", jobs.size());
         return 0;
     }
 
-    exp::EngineOptions engine;
-    engine.hostThreads = o.jobs;
-    engine.shards = o.shards;
-    engine.jsonlPath = o.out;
-    engine.resume = o.resume;
-    engine.timeoutSeconds = o.timeoutS;
-    engine.maxAttempts = 1 + o.retries;
-    engine.progress = !o.quiet && isatty(fileno(stderr));
+    engine.maxAttempts = 1 + retries;
+    engine.progress = !quiet && isatty(fileno(stderr));
 
     const exp::ExperimentReport report = exp::runJobs(jobs, engine);
 
-    if (o.summary) {
+    if (!no_summary) {
         TextTable table("sweep results",
                         {"job", "cycles", "IPC", "SB-stall%", "status"});
         for (const auto &out : report.outcomes) {
