@@ -18,11 +18,6 @@ struct SimClock
     Cycle now = 0;        //!< current cycle
     EventQueue events;    //!< pending timed callbacks
 
-    SimClock() = default;
-    explicit SimClock(SchedulerKind kind) : events(kind) {}
-    SimClock(SimClock &&) = default;
-    SimClock &operator=(SimClock &&) = default;
-
     /** Advance to the next cycle and run everything due. */
     void
     tick()

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "common/logging.hh"
+
 namespace spburst
 {
 
@@ -13,36 +15,16 @@ namespace
  *  misses without a second allocation. */
 constexpr std::size_t kChunkNodes = 64;
 
-constexpr bool
-flatLess(Cycle wa, std::uint64_t ia, Cycle wb, std::uint64_t ib)
-{
-    return wa != wb ? wa < wb : ia < ib;
-}
-
 } // namespace
 
-const char *
-schedulerKindName(SchedulerKind kind)
+EventQueue::EventQueue()
 {
-    return kind == SchedulerKind::Calendar ? "calendar" : "heap";
-}
-
-EventQueue::EventQueue(SchedulerKind kind) : kind_(kind)
-{
-    if (kind_ == SchedulerKind::Calendar) {
-        overflow_.reserve(64);
-        due_.reserve(64);
-        dueOverflow_.reserve(16);
-    } else {
-        heap_.reserve(64);
-    }
+    overflow_.reserve(64);
+    due_.reserve(64);
+    dueOverflow_.reserve(16);
 }
 
 EventQueue::~EventQueue() = default;
-
-// ---------------------------------------------------------------------
-// Calendar (timing wheel)
-// ---------------------------------------------------------------------
 
 EventQueue::Node *
 EventQueue::allocNode()
@@ -82,7 +64,7 @@ EventQueue::appendNode(Bucket &b, Node *n)
 }
 
 void
-EventQueue::scheduleCalendar(Cycle when, Callback cb)
+EventQueue::schedule(Cycle when, Callback cb)
 {
     const std::uint64_t id = nextId_++;
     ++size_;
@@ -97,15 +79,11 @@ EventQueue::scheduleCalendar(Cycle when, Callback cb)
         due_.push_back(DueEvent{id, std::move(cb)});
         return;
     }
-    // At-or-before the drained horizon: the legacy heap would run this
-    // before anything later, so keep it in a dedicated overdue list
-    // that runUntil empties first. Never taken by the simulator proper
-    // (all delays are >= 0 relative to the current cycle).
-    if (when <= cursor_) {
-        // spburst-lint: allow(hot-alloc) -- legacy-heap compatibility path, never taken by the simulator proper
-        overdue_.push_back(FlatEvent{when, id, std::move(cb)});
-        return;
-    }
+    SPB_ASSERT(when > cursor_,
+               "event scheduled at cycle %llu, at or before the drained "
+               "horizon %llu",
+               static_cast<unsigned long long>(when),
+               static_cast<unsigned long long>(cursor_));
     // Beyond the wheel horizon: far-future min-heap.
     if (when - cursor_ >= kBuckets) {
         overflow_.push_back(FlatEvent{when, id, std::move(cb)});
@@ -119,27 +97,6 @@ EventQueue::scheduleCalendar(Cycle when, Callback cb)
     const std::size_t b = static_cast<std::size_t>(when) & (kBuckets - 1);
     appendNode(buckets_[b], n);
     occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-}
-
-void
-EventQueue::drainOverdue()
-{
-    // Rare path (see scheduleCalendar): run strictly in (when, id)
-    // order, one event at a time so late arrivals slot in correctly.
-    while (!overdue_.empty()) {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < overdue_.size(); ++i)
-            if (flatLess(overdue_[i].when, overdue_[i].id,
-                         overdue_[best].when, overdue_[best].id))
-                best = i;
-        FlatEvent ev = std::move(overdue_[best]);
-        overdue_.erase(overdue_.begin() +
-                       static_cast<std::ptrdiff_t>(best));
-        --size_;
-        ++executed_;
-        cachedNextValid_ = false;
-        ev.cb();
-    }
 }
 
 void
@@ -195,8 +152,6 @@ EventQueue::processCycle(Cycle c)
         --size_;
         ++executed_;
         cb();
-        if (!overdue_.empty())
-            drainOverdue();
     }
     due_.clear();
     draining_ = false;
@@ -238,26 +193,19 @@ EventQueue::nextBucketDue() const
 }
 
 void
-EventQueue::runUntilCalendar(Cycle now)
+EventQueue::runUntil(Cycle now)
 {
-    drainOverdue();
     while (cursor_ < now) {
-        // Jump straight to the next cycle that has work: the bitmap
-        // gives the earliest occupied bucket, the overflow heap its
-        // front (always > cursor_ here — processCycle pulls everything
-        // due). Events scheduled by the callbacks land either in the
-        // in-flight due list (same cycle), the wheel/overflow (future),
-        // or overdue_ (drained inside processCycle), so recomputing
-        // per iteration sees every new arrival.
-        Cycle next = nextBucketDue();
-        if (!overflow_.empty() && overflow_.front().when < next)
-            next = overflow_.front().when;
+        // Jump straight to the next cycle that has work (always
+        // > cursor_: processCycle pulls everything due). Events
+        // scheduled by the callbacks land either in the in-flight due
+        // list (same cycle) or the wheel/overflow (future), so
+        // recomputing per iteration sees every new arrival.
+        const Cycle next = scanNextDue();
         if (next > now) {
             cursor_ = now; // silent span: no wheel probes at all
             break;
         }
-        if (next <= cursor_)
-            next = cursor_ + 1; // defensive: keep cursor_ monotone
         processCycle(next);
     }
     if (size_ == 0) {
@@ -269,55 +217,20 @@ EventQueue::runUntilCalendar(Cycle now)
 Cycle
 EventQueue::scanNextDue() const
 {
-    Cycle best = kNeverCycle;
-    for (const FlatEvent &e : overdue_)
-        if (e.when < best)
-            best = e.when;
-    if (!overflow_.empty() && overflow_.front().when < best)
-        best = overflow_.front().when;
     const Cycle bucket = nextBucketDue();
-    if (bucket < best)
-        best = bucket;
-    return best;
+    if (!overflow_.empty() && overflow_.front().when < bucket)
+        return overflow_.front().when;
+    return bucket;
 }
 
 Cycle
 EventQueue::nextEventCycle() const
 {
-    if (kind_ == SchedulerKind::LegacyHeap)
-        return heap_.empty() ? kNeverCycle : heap_.front().when;
     if (!cachedNextValid_) {
         cachedNext_ = scanNextDue();
         cachedNextValid_ = true;
     }
     return cachedNext_;
-}
-
-// ---------------------------------------------------------------------
-// Legacy binary heap (differential-testing reference)
-// ---------------------------------------------------------------------
-
-void
-EventQueue::scheduleHeap(Cycle when, Callback cb)
-{
-    heap_.push_back(FlatEvent{when, nextId_++, std::move(cb)});
-    std::push_heap(heap_.begin(), heap_.end(), heapLater);
-    ++size_;
-}
-
-void
-EventQueue::runUntilHeap(Cycle now)
-{
-    while (!heap_.empty() && heap_.front().when <= now) {
-        std::pop_heap(heap_.begin(), heap_.end(), heapLater);
-        // Move the callback out before popping — the old queue copied
-        // the whole Event (std::function included) here.
-        Callback cb = std::move(heap_.back().cb);
-        heap_.pop_back();
-        --size_;
-        ++executed_;
-        cb();
-    }
 }
 
 } // namespace spburst

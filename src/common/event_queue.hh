@@ -7,22 +7,18 @@
  * scheduled at or before the current cycle (in deterministic FIFO order
  * among same-cycle events), then ticks the cores.
  *
- * Two interchangeable scheduler implementations live behind one
- * interface, selected at construction:
+ * The queue is a 256-bucket timing wheel of intrusive, pool-allocated
+ * event records with small-buffer callback storage. Scheduling and
+ * popping are O(1); a silent cycle (no events due) costs two pointer
+ * checks. Events beyond the wheel horizon go to a far-future overflow
+ * min-heap and are merged back, by the global (cycle, id) order, when
+ * their cycle is drained, so bucket wraparound never reorders
+ * anything. Execution order is (cycle, schedule id): FIFO among
+ * same-cycle events, regardless of which structure stored them.
  *
- *  - `Calendar` (default): a 256-bucket timing wheel of intrusive,
- *    pool-allocated event records with small-buffer callback storage.
- *    Scheduling and popping are O(1); a silent cycle (no events due)
- *    costs two pointer checks. Events beyond the wheel horizon go to a
- *    far-future overflow min-heap and are merged back — by the global
- *    (cycle, id) order — when their cycle is drained, so bucket
- *    wraparound never reorders anything.
- *  - `LegacyHeap`: the original binary min-heap, retained verbatim (bar
- *    the move-instead-of-copy pop fix) so differential tests can assert
- *    that the calendar queue produces byte-identical simulations.
- *
- * Both orderings are (cycle, schedule id): FIFO among same-cycle
- * events, regardless of which structure stored them.
+ * Every event is scheduled after the drained horizon, or at the cycle
+ * being drained from inside one of its events; anything earlier is an
+ * assertion failure.
  */
 
 #pragma once
@@ -38,16 +34,6 @@
 namespace spburst
 {
 
-/** Which event-queue implementation a clock uses. */
-enum class SchedulerKind : std::uint8_t
-{
-    Calendar,   //!< timing-wheel scheduler (default)
-    LegacyHeap, //!< original binary heap, kept for differential tests
-};
-
-/** Human-readable scheduler name. */
-const char *schedulerKindName(SchedulerKind kind);
-
 /** Deterministic event queue keyed by (cycle, schedule order). */
 class EventQueue
 {
@@ -57,7 +43,7 @@ class EventQueue
      *  inline. */
     using Callback = SmallFunction<void(), 112>;
 
-    explicit EventQueue(SchedulerKind kind = SchedulerKind::Calendar);
+    EventQueue();
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -67,25 +53,12 @@ class EventQueue
     EventQueue(EventQueue &&) = default;
     EventQueue &operator=(EventQueue &&) = default;
 
-    /** Schedule @p cb to run at absolute cycle @p when. */
-    void
-    schedule(Cycle when, Callback cb)
-    {
-        if (kind_ == SchedulerKind::Calendar)
-            scheduleCalendar(when, std::move(cb));
-        else
-            scheduleHeap(when, std::move(cb));
-    }
+    /** Schedule @p cb to run at absolute cycle @p when: after the
+     *  drained horizon, or at the cycle being drained. */
+    void schedule(Cycle when, Callback cb);
 
     /** Run every event scheduled at or before @p now. */
-    void
-    runUntil(Cycle now)
-    {
-        if (kind_ == SchedulerKind::Calendar)
-            runUntilCalendar(now);
-        else
-            runUntilHeap(now);
-    }
+    void runUntil(Cycle now);
 
     /** True if no events are pending. */
     bool empty() const { return size_ == 0; }
@@ -99,11 +72,7 @@ class EventQueue
     /** Events executed since construction (throughput accounting). */
     std::uint64_t executedEvents() const { return executed_; }
 
-    SchedulerKind kind() const { return kind_; }
-
   private:
-    // ---- calendar (timing wheel) ----
-
     /** Wheel span in cycles; must be a power of two. Sized to cover a
      *  full L1-to-DRAM round trip (~170 cycles in the Table I system),
      *  so only bandwidth-congested DRAM completions overflow. */
@@ -125,7 +94,7 @@ class EventQueue
         Node *tail = nullptr;
     };
 
-    /** Far-future / overdue record (also the legacy heap element). */
+    /** Far-future record (overflow min-heap element). */
     struct FlatEvent
     {
         Cycle when = 0;
@@ -140,20 +109,13 @@ class EventQueue
         Callback cb;
     };
 
-    void scheduleCalendar(Cycle when, Callback cb);
-    void runUntilCalendar(Cycle now);
     void processCycle(Cycle c);
-    void drainOverdue();
     Node *allocNode();
     void freeNode(Node *n);
     static void appendNode(Bucket &b, Node *n);
+    /** Earliest pending cycle (kNeverCycle if none). */
     Cycle scanNextDue() const;
     Cycle nextBucketDue() const;
-
-    // ---- legacy binary heap ----
-
-    void scheduleHeap(Cycle when, Callback cb);
-    void runUntilHeap(Cycle now);
 
     /** Min-heap order on (when, id). */
     static bool
@@ -162,12 +124,10 @@ class EventQueue
         return a.when != b.when ? a.when > b.when : a.id > b.id;
     }
 
-    SchedulerKind kind_;
     std::size_t size_ = 0;
     std::uint64_t nextId_ = 0;
     std::uint64_t executed_ = 0;
 
-    // Calendar state.
     std::array<Bucket, kBuckets> buckets_;
     /** Bucket-occupancy bitmap (bit b set iff buckets_[b] is
      *  non-empty): silent spans are skipped with a four-word scan
@@ -178,7 +138,6 @@ class EventQueue
      *  cursor_+1 is due exactly at cursor_+1+d. */
     std::array<std::uint64_t, kBuckets / 64> occupied_{};
     std::vector<FlatEvent> overflow_;      //!< min-heap on (when, id)
-    std::vector<FlatEvent> overdue_;       //!< scheduled at <= cursor_
     std::vector<std::unique_ptr<Node[]>> chunks_; //!< node pool backing
     Node *freeNodes_ = nullptr;
     Cycle cursor_ = 0;         //!< every cycle <= cursor_ is drained
@@ -190,9 +149,6 @@ class EventQueue
      *  stale (recomputed lazily by nextEventCycle). */
     mutable Cycle cachedNext_ = kNeverCycle;
     mutable bool cachedNextValid_ = true;
-
-    // Legacy state.
-    std::vector<FlatEvent> heap_;
 };
 
 } // namespace spburst

@@ -229,7 +229,11 @@ class Core
         return ctx_[tid]->sb;
     }
     const Tlb &dtlb() const { return ctx_[0]->dtlb; }
-    const SpbEngine *spbEngine() const { return ctx_[0]->spb.get(); }
+    const SpbEngine *
+    spbEngine(int tid = 0) const
+    {
+        return ctx_[tid]->spb.get();
+    }
     const CoreConfig &config() const { return config_; }
 
     /** Effective per-thread SB capacity (after partitioning and the

@@ -337,15 +337,15 @@ runJobs(const std::vector<Job> &jobs, const EngineOptions &options)
                 break;
             } catch (const SimInterrupted &e) {
                 out.error = std::string("timeout: ") + e.what();
+                if (out.attempts < max_attempts)
+                    continue;
             } catch (const FatalError &e) {
                 out.error = std::string("fatal: ") + e.what();
             } catch (const std::exception &e) {
                 out.error = e.what();
             }
-            if (out.attempts >= max_attempts) {
-                out.status = JobStatus::Failed;
-                break;
-            }
+            out.status = JobStatus::Failed;
+            break;
         }
         out.wallSeconds = secondsSince(job_start);
         if (out.status == JobStatus::Completed)

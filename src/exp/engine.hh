@@ -15,9 +15,12 @@
  *    and the new completions are appended, so the finished file equals
  *    (as a set of lines) the file an uninterrupted run produces.
  *  - Robustness: a per-attempt wall-clock timeout interrupts runaway
- *    configurations; failures (timeout, fatal config error, livelock
- *    guard) are retried up to maxAttempts times and then reported in
- *    the outcome instead of killing the process.
+ *    configurations. A timed-out job is retried up to maxAttempts
+ *    times, because only a timeout depends on the host; any other
+ *    failure (fatal config error, cycle-limit livelock guard) follows
+ *    from the config alone and fails the job at once. Either way the
+ *    failure is reported in the outcome instead of killing the
+ *    process.
  */
 
 #pragma once
@@ -77,7 +80,7 @@ struct EngineOptions
     bool resume = false;
     /** Per-attempt wall-clock timeout in seconds; 0 = none. */
     double timeoutSeconds = 0.0;
-    /** Attempts per job before reporting Failed (>= 1). */
+    /** Attempts per timed-out job before reporting Failed (>= 1). */
     unsigned maxAttempts = 1;
     /** Emit a live "[done/total] ... eta" line to stderr. */
     bool progress = false;

@@ -96,9 +96,6 @@ const Names<check::Level> kCheckLevels = namesOf(
     {check::Level::Off, check::Level::Fast, check::Level::Full},
     check::levelName);
 
-const Names<SchedulerKind> kSchedulers = namesOf(
-    {SchedulerKind::Calendar, SchedulerKind::LegacyHeap}, schedulerKindName);
-
 std::vector<std::string>
 splitList(std::string_view text)
 {
@@ -206,9 +203,6 @@ configOptions()
         {"check", syntaxOf(kCheckLevels),
          "invariant checking level (default fast)", Scope::Host,
          [](SystemConfig &, V v) { check::setLevel(pick(v, kCheckLevels)); }},
-        {"scheduler", syntaxOf(kSchedulers),
-         "event-queue implementation (default calendar)", Scope::Host,
-         [](SystemConfig &cfg, V v) { cfg.scheduler = pick(v, kSchedulers); }},
         {"no-fast-forward", "",
          "tick every cycle even when all cores are quiescent", Scope::Host,
          [](SystemConfig &cfg, V) { cfg.fastForward = false; }},

@@ -28,10 +28,14 @@ configKey(const SystemConfig &cfg)
         cfg.coreParams.name.c_str(), cfg.mem.l1d.prefetchIssuePerCycle,
         cfg.mem.l1d.demandReservedMshrs);
     std::string key = cfg.workload + buf;
+    // SMT joins only when on, so every single-thread key (and every
+    // JSONL file that resumes on one) stays as it was.
+    if (cfg.smtThreads != 1)
+        key += "|smt" + std::to_string(cfg.smtThreads);
     // Interval sampling changes results, so its result-affecting spec
     // joins the key. The checkpoint path does not (replayed and
     // live-warmed runs are byte-identical), and the host-only
-    // scheduler / fast-forward knobs stay excluded as ever.
+    // fast-forward knob stays excluded as ever.
     if (cfg.sample.enabled()) {
         key += "|smp:";
         key += cfg.sample.canonical();

@@ -88,11 +88,19 @@ SimResult::toStatSet() const
     s.set("cycles", static_cast<double>(cycles));
     s.set("ipc", ipc());
     s.set("sb_stall_ratio", sbStallRatio());
-    for (std::size_t c = 0; c < cores.size(); ++c) {
-        s.merge("core" + std::to_string(c) + ".", cores[c].toStatSet());
-        s.merge("l1d" + std::to_string(c) + ".", l1d[c].toStatSet());
-        if (c < trace.size())
-            s.merge("trace" + std::to_string(c) + ".", trace[c]);
+    const std::size_t smt = threadsPerCore();
+    for (std::size_t c = 0; c < l1d.size(); ++c) {
+        const std::string core = std::to_string(c);
+        auto thread_prefix = [&](const char *what, std::size_t m) {
+            return what + core +
+                   (smt > 1 ? ".t" + std::to_string(m) + "." : ".");
+        };
+        for (std::size_t m = 0; m < smt; ++m)
+            s.merge(thread_prefix("core", m), cores[c * smt + m].toStatSet());
+        s.merge("l1d" + core + ".", l1d[c].toStatSet());
+        for (std::size_t m = 0; m < smt; ++m)
+            if (c * smt + m < trace.size())
+                s.merge(thread_prefix("trace", m), trace[c * smt + m]);
     }
     if (!pf.entries().empty())
         s.merge("pf.", pf);
@@ -110,7 +118,6 @@ SimResult::toStatSet() const
 
 System::System(const SystemConfig &config)
     : config_(config),
-      clock_(config.scheduler),
       mem_([&config] {
           MemSystemParams m = config.mem;
           m.cores = config.threads;
@@ -118,6 +125,9 @@ System::System(const SystemConfig &config)
       }(), &clock_)
 {
     SPB_ASSERT(config_.threads >= 1, "need at least one thread");
+    if (config_.smtThreads < 1 || config_.smtThreads > Core::kMaxThreads)
+        SPB_FATAL("unsupported SMT thread count %d (1..%d)",
+                  config_.smtThreads, Core::kMaxThreads);
 
     // Either a ChampSim trace replay ("trace:PATH[,...]") or one of the
     // synthetic workload profiles.
@@ -133,6 +143,16 @@ System::System(const SystemConfig &config)
     // this run warms live or replays an architectural checkpoint.
     if (config_.sample.enabled())
         setupSampling();
+
+    CoreConfig core_config;
+    core_config.params = config_.coreParams;
+    if (config_.sbSize != 0)
+        core_config.params.sqSize = config_.sbSize;
+    core_config.policy = config_.policy;
+    core_config.useSpb = config_.useSpb;
+    core_config.spb = config_.spb;
+    core_config.idealSb = config_.idealSb;
+    core_config.coalescingSb = config_.coalescingSb;
 
     for (int t = 0; t < config_.threads; ++t) {
         if (config_.l1Prefetcher != L1PrefetcherKind::None) {
@@ -167,45 +187,41 @@ System::System(const SystemConfig &config)
             }
         }
 
-        if (sample_ && sample_->replay) {
-            // Checkpoint replay: the recorded window uop streams feed
-            // the core directly; the real decoder is never opened.
-            auto replay =
-                std::make_unique<sample::ReplaySource>(config_.workload);
-            sample_->replaySource = replay.get();
-            traces_.push_back(std::move(replay));
-        } else if (is_trace) {
-            auto src = std::make_unique<champsim::TraceReplaySource>(
-                trace_spec, t);
-            // Decode stats are path-dependent in sampled mode (the
-            // replay path never decodes), so sampled results omit them.
-            if (!sample_)
-                champSources_.push_back(src.get());
-            traces_.push_back(std::move(src));
-        } else {
-            traces_.push_back(buildWorkload(*profile, config_.seed, t,
-                                            config_.threads));
+        std::vector<TraceSource *> sources;
+        for (int m = 0; m < config_.smtThreads; ++m) {
+            if (sample_ && sample_->replay) {
+                // Checkpoint replay: the recorded window uop streams
+                // feed the core directly; the real decoder is never
+                // opened.
+                auto replay = std::make_unique<sample::ReplaySource>(
+                    config_.workload);
+                sample_->replaySource = replay.get();
+                traces_.push_back(std::move(replay));
+            } else if (is_trace) {
+                auto src = std::make_unique<champsim::TraceReplaySource>(
+                    trace_spec, t * config_.smtThreads + m);
+                // Decode stats are path-dependent in sampled mode (the
+                // replay path never decodes), so sampled results omit
+                // them.
+                if (!sample_)
+                    champSources_.push_back(src.get());
+                traces_.push_back(std::move(src));
+            } else {
+                traces_.push_back(buildWorkload(*profile, config_.seed + m,
+                                                t, config_.threads));
+            }
+            if (sample_ && !sample_->replay) {
+                // Live warming: every uop anyone pulls flows through
+                // the warm image.
+                auto warming = std::make_unique<sample::WarmingSource>(
+                    traces_.back().get(), sample_->image.get());
+                sample_->observer = warming.get();
+                traces_.push_back(std::move(warming));
+            }
+            sources.push_back(traces_.back().get());
         }
-        if (sample_ && !sample_->replay) {
-            // Live warming: every uop anyone pulls flows through the
-            // warm image.
-            auto warming = std::make_unique<sample::WarmingSource>(
-                traces_.back().get(), sample_->image.get());
-            sample_->observer = warming.get();
-            traces_.push_back(std::move(warming));
-        }
-
-        CoreConfig cc;
-        cc.params = config_.coreParams;
-        if (config_.sbSize != 0)
-            cc.params.sqSize = config_.sbSize;
-        cc.policy = config_.policy;
-        cc.useSpb = config_.useSpb;
-        cc.spb = config_.spb;
-        cc.idealSb = config_.idealSb;
-        cc.coalescingSb = config_.coalescingSb;
-        cores_.push_back(std::make_unique<Core>(
-            cc, t, &clock_, &mem_.l1d(t), traces_.back().get()));
+        cores_.push_back(std::make_unique<Core>(core_config, t, &clock_,
+                                                &mem_.l1d(t), sources));
     }
 
     // Per-run check-counter deltas: the experiment engine constructs
@@ -238,7 +254,7 @@ System::run(const std::function<bool()> &interrupt)
     const std::uint64_t target = config_.maxUopsPerCore;
     auto all_done = [&] {
         for (const auto &core : cores_)
-            if (core->committed() < target)
+            if (core->minCommitted() < target)
                 return false;
         return true;
     };
@@ -272,7 +288,7 @@ System::fastForward(const char *phase)
                   "uops on core 0)",
                   phase, config_.workload.c_str(),
                   static_cast<unsigned long long>(clock_.now),
-                  static_cast<unsigned long long>(cores_[0]->committed()),
+                  static_cast<unsigned long long>(cores_[0]->minCommitted()),
                   static_cast<unsigned long long>(config_.maxUopsPerCore));
     }
     const Cycle n = next - clock_.now - 1;
@@ -300,7 +316,7 @@ System::failCycleLimit(const char *phase) const
               phase, config_.workload.c_str(),
               static_cast<unsigned long long>(clock_.now),
               static_cast<unsigned long long>(ffCycles_),
-              static_cast<unsigned long long>(cores_[0]->committed()),
+              static_cast<unsigned long long>(cores_[0]->minCommitted()),
               static_cast<unsigned long long>(config_.maxUopsPerCore),
               clock_.events.size(),
               static_cast<unsigned long long>(
@@ -349,16 +365,15 @@ System::snapshot()
     r.workload = config_.workload;
     r.cycles = clock_.now;
     for (int t = 0; t < config_.threads; ++t) {
-        r.cores.push_back(cores_[t]->stats());
-        r.sbs.push_back(cores_[t]->storeBuffer().stats());
-        if (const SpbEngine *spb = cores_[t]->spbEngine())
-            r.spbs.push_back(spb->stats());
+        const Core &core = *cores_[t];
+        for (int m = 0; m < core.threads(); ++m) {
+            r.cores.push_back(core.stats(m));
+            r.sbs.push_back(core.storeBuffer(m).stats());
+            if (const SpbEngine *spb = core.spbEngine(m))
+                r.spbs.push_back(spb->stats());
+        }
         r.l1d.push_back(mem_.l1d(t).stats());
         r.l2.push_back(mem_.l2(t).stats());
-        if (t < static_cast<int>(prefetchers_.size()) &&
-            prefetchers_[t]) {
-            r.l1pf.push_back(prefetchers_[t]->stats());
-        }
     }
     // Unified pf.<name>.* counters, aggregated per prefetcher name
     // across cores and cache levels (map keeps name order stable).
@@ -379,17 +394,22 @@ System::snapshot()
     if (auto *dir = mem_.directory())
         r.directory = dir->stats();
 
-    // Energy: per-core events plus one share of the shared structures.
+    // Energy: per-thread core events; each core's caches and leakage
+    // with its thread 0, and the shared structures once.
     EnergyModel model;
-    for (int t = 0; t < config_.threads; ++t) {
+    const std::size_t smt = r.threadsPerCore();
+    for (std::size_t i = 0; i < r.cores.size(); ++i) {
+        const std::size_t c = i / smt;
         EnergyInput in;
-        in.cycles = r.cycles;
-        in.core = &r.cores[t];
-        in.sb = &r.sbs[t];
-        in.sbEntries = cores_[t]->effectiveSbSize();
-        in.l1d = &r.l1d[t];
-        in.l2 = &r.l2[t];
-        if (t == 0) { // shared structures charged once
+        in.core = &r.cores[i];
+        in.sb = &r.sbs[i];
+        in.sbEntries = cores_[c]->effectiveSbSize();
+        if (i % smt == 0) {
+            in.cycles = r.cycles;
+            in.l1d = &r.l1d[c];
+            in.l2 = &r.l2[c];
+        }
+        if (i == 0) {
             in.l3 = &r.l3;
             in.dramReads = r.dramReads;
             in.dramWrites = r.dramWrites;

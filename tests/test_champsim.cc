@@ -805,13 +805,12 @@ statFingerprint(const exp::ExperimentReport &report)
 }
 
 exp::ExperimentReport
-runFixtureJobs(unsigned host_threads, SchedulerKind sched, bool ff)
+runFixtureJobs(unsigned host_threads, bool ff)
 {
     std::vector<exp::Job> jobs;
     for (const char *strategy : {"none", "at-commit", "spb"}) {
         SystemConfig cfg = fixtureConfig(strategy);
         cfg.maxUopsPerCore = 10'000;
-        cfg.scheduler = sched;
         cfg.fastForward = ff;
         jobs.push_back(exp::Job{exp::configKey(cfg), std::move(cfg)});
     }
@@ -822,18 +821,11 @@ runFixtureJobs(unsigned host_threads, SchedulerKind sched, bool ff)
 
 TEST(ChampsimDeterminism, IdenticalStatsAcrossJobsSchedulerFastForward)
 {
-    const std::string base =
-        statFingerprint(runFixtureJobs(1, SchedulerKind::Calendar, true));
+    const std::string base = statFingerprint(runFixtureJobs(1, true));
     EXPECT_FALSE(base.empty());
-    EXPECT_EQ(base, statFingerprint(
-                        runFixtureJobs(8, SchedulerKind::Calendar, true)))
+    EXPECT_EQ(base, statFingerprint(runFixtureJobs(8, true)))
         << "--jobs=8 must not change simulated results";
-    EXPECT_EQ(base,
-              statFingerprint(
-                  runFixtureJobs(1, SchedulerKind::LegacyHeap, true)))
-        << "scheduler choice must not change simulated results";
-    EXPECT_EQ(base, statFingerprint(runFixtureJobs(
-                        1, SchedulerKind::Calendar, false)))
+    EXPECT_EQ(base, statFingerprint(runFixtureJobs(1, false)))
         << "fast-forward must not change simulated results";
 }
 

@@ -343,6 +343,23 @@ TEST(Engine, TimeoutFailsTheJobAfterBoundedRetries)
     EXPECT_EQ(report.failed(), 1u);
 }
 
+TEST(Engine, FatalErrorIsNotRetried)
+{
+    // Only a timeout depends on the host; a fatal error follows from
+    // the config alone, so another attempt would fail the same way.
+    SystemConfig bad = smallSpec().expand()[0].config;
+    bad.workload = "no-such-workload";
+    exp::EngineOptions options;
+    options.maxAttempts = 3;
+    const auto report =
+        exp::runJobs({exp::Job{exp::configKey(bad), bad}}, options);
+    ASSERT_EQ(report.outcomes.size(), 1u);
+    EXPECT_EQ(report.outcomes[0].status, exp::JobStatus::Failed);
+    EXPECT_EQ(report.outcomes[0].attempts, 1u);
+    EXPECT_NE(report.outcomes[0].error.find("fatal:"), std::string::npos)
+        << report.outcomes[0].error;
+}
+
 TEST(Engine, FatalConfigErrorFailsOneJobNotTheProcess)
 {
     auto jobs = smallSpec().expand();

@@ -52,7 +52,6 @@ const std::map<std::string, std::pair<Setting, Setting>> kSettings = {
     {"seed", {"1", "2"}},
     {"sample", {"interval=5000,window=1000", "interval=5000,window=500"}},
     {"check", {"off", "full"}},
-    {"scheduler", {"calendar", "heap"}},
     {"no-fast-forward", {std::nullopt, ""}},
 };
 
@@ -156,7 +155,7 @@ TEST(RunCli, HelpListsEveryRow)
                     {"workload", "trace", "sb", "policy", "spb", "spb-n",
                      "spb-dynamic", "spb-backward", "ideal", "l1pf", "core",
                      "threads", "uops", "seed", "sample", "check",
-                     "scheduler", "no-fast-forward", "format", "jobs", "out",
+                     "no-fast-forward", "format", "jobs", "out",
                      "list-workloads"});
 }
 

@@ -299,9 +299,8 @@ TEST(SampleConfigKey, SampleSpecIncludedHostKnobsExcluded)
     ckpt.sample.checkpointPath = "/tmp/warm.ckpt";
     EXPECT_EQ(exp::configKey(ckpt), key);
 
-    // And the scheduler / fast-forward knobs stay excluded as ever.
+    // And the fast-forward knob stays excluded as ever.
     SystemConfig host = sampled;
-    host.scheduler = SchedulerKind::LegacyHeap;
     host.fastForward = false;
     EXPECT_EQ(exp::configKey(host), key);
 }
@@ -366,13 +365,11 @@ TEST(SampledFixture, AllFivePoliciesRunSampled)
 // ---------------------------------------------------------------------
 
 std::string
-sampledJobsFingerprint(unsigned host_threads, SchedulerKind sched,
-                       bool ff)
+sampledJobsFingerprint(unsigned host_threads, bool ff)
 {
     std::vector<exp::Job> jobs;
     for (const char *strategy : {"none", "at-commit", "spb"}) {
         SystemConfig cfg = sampledFixtureConfig(strategy);
-        cfg.scheduler = sched;
         cfg.fastForward = ff;
         jobs.push_back(exp::Job{exp::configKey(cfg), std::move(cfg)});
     }
@@ -397,17 +394,11 @@ sampledJobsFingerprint(unsigned host_threads, SchedulerKind sched,
 
 TEST(SampledDeterminism, IdenticalStatsAcrossJobsSchedulerFastForward)
 {
-    const std::string base =
-        sampledJobsFingerprint(1, SchedulerKind::Calendar, true);
+    const std::string base = sampledJobsFingerprint(1, true);
     EXPECT_FALSE(base.empty());
-    EXPECT_EQ(base,
-              sampledJobsFingerprint(8, SchedulerKind::Calendar, true))
+    EXPECT_EQ(base, sampledJobsFingerprint(8, true))
         << "--jobs=8 must not change sampled results";
-    EXPECT_EQ(base,
-              sampledJobsFingerprint(1, SchedulerKind::LegacyHeap, true))
-        << "scheduler choice must not change sampled results";
-    EXPECT_EQ(base,
-              sampledJobsFingerprint(1, SchedulerKind::Calendar, false))
+    EXPECT_EQ(base, sampledJobsFingerprint(1, false))
         << "fast-forward must not change sampled results";
 }
 

@@ -1,24 +1,25 @@
 /**
  * @file
- * Calendar-queue scheduler unit tests and the scheduler/fast-forward
- * differential determinism suite.
+ * Calendar-queue scheduler unit tests and the fast-forward / check
+ * level differential determinism suite.
  *
- * The calendar queue must be observationally identical to the legacy
- * binary heap: same (cycle, schedule-id) execution order, including
- * bucket wraparound, far-future overflow, overdue scheduling and
- * events scheduled mid-drain. The differential suite then asserts the
- * strongest system-level property: byte-identical sorted statistics
- * reports across {legacy heap, calendar} x {fast-forward on, off} and
- * across checking levels.
+ * The calendar queue's contract is (cycle, schedule-id) execution
+ * order, including bucket wraparound, far-future overflow and events
+ * scheduled mid-drain, and an assertion for any event scheduled into
+ * the drained past. The differential suite then asserts the strongest
+ * system-level property: byte-identical sorted statistics reports with
+ * fast-forward on and off, and across checking levels.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/check.hh"
@@ -27,20 +28,11 @@
 
 using namespace spburst;
 
-namespace
-{
-
-/** Both implementations, for tests that must hold for each. */
-const SchedulerKind kKinds[] = {SchedulerKind::Calendar,
-                                SchedulerKind::LegacyHeap};
-
-} // namespace
-
 TEST(CalendarQueue, BucketWraparound)
 {
     // Same bucket index (cycle % 256) used across several wheel turns;
     // order must stay strictly by cycle.
-    EventQueue q(SchedulerKind::Calendar);
+    EventQueue q;
     std::vector<Cycle> order;
     Cycle cursor = 0;
     for (int turn = 0; turn < 4; ++turn) {
@@ -60,7 +52,7 @@ TEST(CalendarQueue, FarFutureOverflow)
 {
     // Events far beyond the 256-cycle wheel span (e.g. a congested DRAM
     // channel) take the overflow heap and still run at the right cycle.
-    EventQueue q(SchedulerKind::Calendar);
+    EventQueue q;
     std::vector<Cycle> order;
     for (Cycle when : {100'000, 5, 70'000, 300, 256, 99'999})
         q.schedule(when, [&order, when] { order.push_back(when); });
@@ -74,7 +66,7 @@ TEST(CalendarQueue, SameCycleFifoAcrossBucketAndOverflow)
 {
     // Interleave near (bucket) and far (overflow) schedules for one
     // cycle; execution must follow schedule order, not storage.
-    EventQueue q(SchedulerKind::Calendar);
+    EventQueue q;
     std::vector<int> order;
     const Cycle target = 500; // > 256 from cycle 0: first two overflow
     q.schedule(target, [&] { order.push_back(0); });
@@ -86,24 +78,22 @@ TEST(CalendarQueue, SameCycleFifoAcrossBucketAndOverflow)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(CalendarQueue, OverdueSchedulingRunsFirst)
+TEST(CalendarQueueDeathTest, SchedulingIntoTheDrainedPastAsserts)
 {
-    // Scheduling at or before the drained horizon must still execute,
-    // before anything later (legacy-heap semantics).
-    EventQueue q(SchedulerKind::Calendar);
+    // Every cycle up to the drained horizon has run, so an event there
+    // could never run in (cycle, id) order.
+    EventQueue q;
     q.runUntil(100);
-    std::vector<int> order;
-    q.schedule(150, [&] { order.push_back(150); });
-    q.schedule(50, [&] { order.push_back(50); });
-    q.schedule(100, [&] { order.push_back(100); });
-    EXPECT_EQ(q.nextEventCycle(), 50u);
-    q.runUntil(150);
-    EXPECT_EQ(order, (std::vector<int>{50, 100, 150}));
+    EXPECT_DEATH(q.schedule(50, [] {}), "drained horizon");
+    EXPECT_DEATH(q.schedule(100, [] {}), "drained horizon");
+    // From inside an event, only the cycle being drained is allowed.
+    q.schedule(120, [&q] { q.schedule(119, [] {}); });
+    EXPECT_DEATH(q.runUntil(120), "drained horizon");
 }
 
 TEST(CalendarQueue, NextEventCycleTracksScheduleAndConsumption)
 {
-    EventQueue q(SchedulerKind::Calendar);
+    EventQueue q;
     EXPECT_EQ(q.nextEventCycle(), kNeverCycle);
     q.schedule(1000, [] {});
     EXPECT_EQ(q.nextEventCycle(), 1000u);
@@ -122,7 +112,7 @@ TEST(CalendarQueue, OccupancyBitmapSkipsSilentSpans)
     // 128..191, 192..255): the silent-span skip must land on each in
     // order, across several wheel turns, with cascaded rescheduling
     // from inside a drained cycle.
-    EventQueue q(SchedulerKind::Calendar);
+    EventQueue q;
     std::vector<Cycle> order;
     std::vector<Cycle> targets;
     for (Cycle base : {Cycle{0}, Cycle{256}, Cycle{512}})
@@ -152,7 +142,7 @@ TEST(CalendarQueue, NextEventCycleAcrossWheelWrapBoundary)
     // The bitmap scan starts mid-word when (cursor+1) % 256 != 0 and
     // must wrap: park the cursor just short of a boundary, then
     // schedule behind and ahead of the start slot.
-    EventQueue q(SchedulerKind::Calendar);
+    EventQueue q;
     q.runUntil(200); // start slot 201: bits 201..255, then 0..200
     q.schedule(450, [] {}); // bucket 194 < start slot: wrap partial word
     EXPECT_EQ(q.nextEventCycle(), 450u);
@@ -166,74 +156,78 @@ TEST(CalendarQueue, NextEventCycleAcrossWheelWrapBoundary)
 
 TEST(Scheduler, ScheduledDuringDrainKeepsFifo)
 {
-    for (SchedulerKind kind : kKinds) {
-        EventQueue q(kind);
-        std::vector<int> order;
-        // Event A (id 0) schedules D (id 3) at the same cycle; B and C
-        // (ids 1, 2) are already queued. Required order: A B C D.
-        q.schedule(9, [&] {
-            order.push_back(0);
-            q.schedule(9, [&] { order.push_back(3); });
-        });
-        q.schedule(9, [&] { order.push_back(1); });
-        q.schedule(9, [&] { order.push_back(2); });
-        q.runUntil(9);
-        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}))
-            << schedulerKindName(kind);
-    }
+    EventQueue q;
+    std::vector<int> order;
+    // Event A (id 0) schedules D (id 3) at the same cycle; B and C
+    // (ids 1, 2) are already queued. Required order: A B C D.
+    q.schedule(9, [&] {
+        order.push_back(0);
+        q.schedule(9, [&] { order.push_back(3); });
+    });
+    q.schedule(9, [&] { order.push_back(1); });
+    q.schedule(9, [&] { order.push_back(2); });
+    q.runUntil(9);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(Scheduler, MoveOnlyCallbacksPopWithoutCopying)
 {
-    // The pre-fix queue copied each Event (std::function included) out
-    // of the heap before pop(). Callbacks are now move-only, so a
-    // unique_ptr capture compiles and survives the pop on both
-    // implementations — a copy anywhere would fail to compile.
-    for (SchedulerKind kind : kKinds) {
-        EventQueue q(kind);
-        int sum = 0;
-        for (int i = 1; i <= 4; ++i) {
-            auto payload = std::make_unique<int>(i);
-            q.schedule(static_cast<Cycle>(i),
-                       [&sum, p = std::move(payload)] { sum += *p; });
-        }
-        q.runUntil(4);
-        EXPECT_EQ(sum, 10) << schedulerKindName(kind);
+    // Callbacks are move-only, so a unique_ptr capture compiles and
+    // survives the pop — a copy anywhere would fail to compile.
+    EventQueue q;
+    int sum = 0;
+    for (int i = 1; i <= 4; ++i) {
+        auto payload = std::make_unique<int>(i);
+        q.schedule(static_cast<Cycle>(i),
+                   [&sum, p = std::move(payload)] { sum += *p; });
     }
+    q.runUntil(4);
+    EXPECT_EQ(sum, 10);
 }
 
-TEST(Scheduler, InterleavedRunUntilMatchesHeapOrder)
+TEST(Scheduler, InterleavedRunUntilRunsInCycleThenScheduleOrder)
 {
-    // Drive both implementations through an identical irregular
-    // schedule/drain sequence; the observed order must match exactly.
-    std::vector<std::pair<SchedulerKind, std::vector<Cycle>>> runs;
-    for (SchedulerKind kind : kKinds) {
-        EventQueue q(kind);
-        std::vector<Cycle> order;
-        auto record = [&order](Cycle c) {
-            return [&order, c] { order.push_back(c); };
-        };
-        std::uint64_t x = 12345;
-        Cycle now = 0;
-        for (int step = 0; step < 2000; ++step) {
-            x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-            const Cycle delay = (x >> 33) % 600; // crosses the wheel
-            const Cycle when = now + delay;
-            q.schedule(when, record(when));
-            if (step % 3 == 0) {
-                now += (x >> 20) % 64;
-                q.runUntil(now);
-            }
+    // An irregular schedule/drain sequence with delays >= 1, as the
+    // simulator schedules, across the wheel span and into the overflow
+    // heap, some of it from inside events. The executed order must be
+    // the record of schedules stably sorted by cycle: (cycle, schedule
+    // id) order.
+    EventQueue q;
+    std::vector<std::pair<Cycle, int>> scheduled, executed;
+    std::uint64_t x = 12345;
+    auto next_random = [&x] {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        return x >> 33;
+    };
+    Cycle now = 0;
+    std::function<void(Cycle)> add = [&](Cycle from) {
+        const Cycle when = from + 1 + next_random() % 600;
+        const int id = static_cast<int>(scheduled.size());
+        scheduled.emplace_back(when, id);
+        q.schedule(when, [&, when, id] {
+            executed.emplace_back(when, id);
+            if (id % 7 == 0 && scheduled.size() < 3000)
+                add(when); // a follow-up scheduled mid-drain
+        });
+    };
+    for (int step = 0; step < 2000; ++step) {
+        add(now);
+        if (step % 3 == 0) {
+            now += next_random() % 64;
+            q.runUntil(now);
         }
-        q.runUntil(now + 1000);
-        EXPECT_TRUE(q.empty());
-        runs.emplace_back(kind, std::move(order));
     }
-    EXPECT_EQ(runs[0].second, runs[1].second);
+    q.runUntil(kNeverCycle - 1);
+    EXPECT_TRUE(q.empty());
+    std::stable_sort(scheduled.begin(), scheduled.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    EXPECT_EQ(executed, scheduled);
 }
 
 // ---------------------------------------------------------------------
-// Differential determinism: scheduler x fast-forward x check level
+// Differential determinism: fast-forward x check level
 // ---------------------------------------------------------------------
 
 namespace
@@ -255,8 +249,7 @@ sortedReport(const SimResult &r)
 }
 
 std::string
-runOnce(const std::string &workload, SchedulerKind scheduler,
-        bool fast_forward, check::Level level)
+runOnce(const std::string &workload, bool fast_forward, check::Level level)
 {
     const check::Level saved = check::level();
     check::setLevel(level);
@@ -264,7 +257,6 @@ runOnce(const std::string &workload, SchedulerKind scheduler,
     cfg.workload = workload;
     cfg.useSpb = true;
     cfg.maxUopsPerCore = 20'000;
-    cfg.scheduler = scheduler;
     cfg.fastForward = fast_forward;
     System sys(cfg);
     const SimResult r = sys.run();
@@ -284,17 +276,9 @@ TEST(SchedulerDifferential, ByteIdenticalStatsAcrossHotPathModes)
     // SPEC workload (deep fast-forward), x264 the most compute-bound
     // (barely any), dedup exercises the PARSEC generator.
     for (const std::string w : {"x264", "mcf", "dedup"}) {
-        const std::string ref = runOnce(w, SchedulerKind::LegacyHeap,
-                                        false, check::Level::Fast);
-        EXPECT_EQ(ref, runOnce(w, SchedulerKind::Calendar, false,
-                               check::Level::Fast))
-            << w << ": calendar queue changed results";
-        EXPECT_EQ(ref, runOnce(w, SchedulerKind::Calendar, true,
-                               check::Level::Fast))
+        EXPECT_EQ(runOnce(w, false, check::Level::Fast),
+                  runOnce(w, true, check::Level::Fast))
             << w << ": fast-forward changed results";
-        EXPECT_EQ(ref, runOnce(w, SchedulerKind::LegacyHeap, true,
-                               check::Level::Fast))
-            << w << ": fast-forward (legacy queue) changed results";
     }
 }
 
@@ -317,15 +301,13 @@ TEST(SchedulerDifferential, ByteIdenticalStatsAcrossCheckLevels)
         return os.str();
     };
     for (const std::string w : {"x264", "mcf", "dedup"}) {
-        const std::string off = strip_check_stats(
-            runOnce(w, SchedulerKind::Calendar, true, check::Level::Off));
-        EXPECT_EQ(off, strip_check_stats(runOnce(
-                           w, SchedulerKind::Calendar, true,
-                           check::Level::Fast)))
+        const std::string off =
+            strip_check_stats(runOnce(w, true, check::Level::Off));
+        EXPECT_EQ(off,
+                  strip_check_stats(runOnce(w, true, check::Level::Fast)))
             << w << ": check level fast changed results";
-        EXPECT_EQ(off, strip_check_stats(runOnce(
-                           w, SchedulerKind::Calendar, true,
-                           check::Level::Full)))
+        EXPECT_EQ(off,
+                  strip_check_stats(runOnce(w, true, check::Level::Full)))
             << w << ": check level full changed results";
     }
 }

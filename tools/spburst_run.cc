@@ -62,7 +62,7 @@ main(int argc, char **argv)
     for (const char *row :
          {"sb", "policy", "spb", "spb-n", "spb-dynamic", "spb-backward",
           "ideal", "l1pf", "core", "threads", "uops", "seed", "sample",
-          "check", "scheduler", "no-fast-forward"})
+          "check", "no-fast-forward"})
         cli.config(row, base);
     cli.option("format", "text|json|csv", "output format (default text)",
                [&format](std::string_view v) {

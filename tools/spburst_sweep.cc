@@ -76,7 +76,7 @@ main(int argc, char **argv)
                [&engine](std::string_view v) {
                    engine.timeoutSeconds = exp::parseReal(v);
                });
-    cli.count("retries", "extra attempts per failed job", retries, 0, 1000);
+    cli.count("retries", "extra attempts per timed-out job", retries, 0, 1000);
     cli.flag("dry-run", "print the job list and exit", dry_run);
     cli.flag("no-summary", "skip the final summary table", no_summary);
     cli.flag("quiet", "no live progress line", quiet);
