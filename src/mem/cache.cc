@@ -1,5 +1,8 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace spburst
@@ -33,35 +36,41 @@ memCmdName(MemCmd cmd)
 
 SetAssocCache::SetAssocCache(const CacheGeometry &geometry)
     : sets_(geometry.numSets()), ways_(geometry.ways),
-      frames_(sets_ * ways_)
+      frames_(sets_ * ways_), changed_((frames_.size() + 63) / 64)
 {
     SPB_ASSERT(sets_ > 0 && (sets_ & (sets_ - 1)) == 0,
                "cache sets must be a nonzero power of two (got %lu)",
                static_cast<unsigned long>(sets_));
 }
 
-CacheBlk *
-SetAssocCache::setBase(Addr block_addr)
+std::size_t
+SetAssocCache::lookup(Addr block_addr) const
 {
-    return &frames_[setIndex(block_addr) * ways_];
+    const Addr aligned = blockAlign(block_addr);
+    const std::size_t base = setIndex(aligned) * ways_;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+        const CacheBlk &f = frames_[base + w];
+        if (isValid(f.state) && f.tag == aligned)
+            return base + w;
+    }
+    return frames_.size();
 }
 
 CacheBlk *
 SetAssocCache::find(Addr block_addr)
 {
-    const Addr aligned = blockAlign(block_addr);
-    CacheBlk *base = setBase(aligned);
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (isValid(base[w].state) && base[w].tag == aligned)
-            return &base[w];
-    }
-    return nullptr;
+    const std::size_t i = lookup(block_addr);
+    if (i == frames_.size())
+        return nullptr;
+    markChanged(i);
+    return &frames_[i];
 }
 
 const CacheBlk *
 SetAssocCache::find(Addr block_addr) const
 {
-    return const_cast<SetAssocCache *>(this)->find(block_addr);
+    const std::size_t i = lookup(block_addr);
+    return i == frames_.size() ? nullptr : &frames_[i];
 }
 
 void
@@ -73,15 +82,18 @@ SetAssocCache::touch(CacheBlk &blk)
 CacheBlk &
 SetAssocCache::victim(Addr block_addr)
 {
-    CacheBlk *base = setBase(blockAlign(block_addr));
-    CacheBlk *lru = &base[0];
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!isValid(base[w].state))
-            return base[w];
-        if (base[w].lastTouch < lru->lastTouch)
-            lru = &base[w];
+    const std::size_t base = setIndex(blockAlign(block_addr)) * ways_;
+    std::size_t pick = base;
+    for (std::size_t i = base; i < base + ways_; ++i) {
+        if (!isValid(frames_[i].state)) {
+            pick = i;
+            break;
+        }
+        if (frames_[i].lastTouch < frames_[pick].lastTouch)
+            pick = i;
     }
-    return *lru;
+    markChanged(pick);
+    return frames_[pick];
 }
 
 void
@@ -106,36 +118,102 @@ SetAssocCache::invalidate(Addr block_addr)
     return dirty;
 }
 
-CacheTagSnapshot
-SetAssocCache::snapshotTags() const
+namespace
 {
-    CacheTagSnapshot snap;
-    snap.lruClock = clock_;
-    for (std::size_t i = 0; i < frames_.size(); ++i) {
-        const CacheBlk &f = frames_[i];
-        if (!isValid(f.state))
-            continue;
-        snap.frames.push_back({static_cast<std::uint32_t>(i), f.tag,
-                               f.state, f.lastTouch});
+
+/** What a transplant makes of warm frame @p warm (see restoreFrom). */
+CacheBlk
+transplanted(const CacheBlk &warm)
+{
+    CacheBlk f;
+    if (isValid(warm.state)) {
+        f.tag = warm.tag;
+        f.state = warm.state;
+        f.lastTouch = warm.lastTouch;
     }
-    return snap;
+    return f;
+}
+
+/** Call @p fn with the frame index of every set bit of @p word, the
+ *  bitmap's word number @p w. */
+template <typename Fn>
+void
+forEachBit(std::size_t w, std::uint64_t word, Fn fn)
+{
+    while (word != 0) {
+        fn(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
+        word &= word - 1;
+    }
+}
+
+} // namespace
+
+CacheTagDelta
+SetAssocCache::snapshotChanges() const
+{
+    CacheTagDelta delta;
+    delta.lruClock = clock_;
+    std::size_t n = 0;
+    for (const std::uint64_t word : changed_)
+        n += static_cast<std::size_t>(std::popcount(word));
+    delta.frames.reserve(n);
+    for (std::size_t w = 0; w < changed_.size(); ++w) {
+        forEachBit(w, changed_[w], [&](std::size_t i) {
+            const CacheBlk &f = frames_[i];
+            delta.frames.push_back({static_cast<std::uint32_t>(i), f.tag,
+                                    f.state, f.lastTouch});
+        });
+    }
+    return delta;
 }
 
 void
-SetAssocCache::restoreTags(const CacheTagSnapshot &snap)
+SetAssocCache::applyDelta(const CacheTagDelta &delta)
 {
-    for (CacheBlk &f : frames_)
+    for (const CacheTagDelta::Frame &d : delta.frames) {
+        SPB_ASSERT(d.index < frames_.size(),
+                   "tag delta frame %u out of range (array has %zu)",
+                   d.index, frames_.size());
+        CacheBlk &f = frames_[d.index];
         f = CacheBlk{};
-    for (const CacheTagSnapshot::Frame &s : snap.frames) {
-        SPB_ASSERT(s.index < frames_.size(),
-                   "tag snapshot frame %u out of range (array has %zu)",
-                   s.index, frames_.size());
-        CacheBlk &f = frames_[s.index];
-        f.tag = s.tag;
-        f.state = s.state;
-        f.lastTouch = s.lastTouch;
+        f.tag = d.tag;
+        f.state = d.state;
+        f.lastTouch = d.lastTouch;
+        markChanged(d.index);
     }
-    clock_ = snap.lruClock;
+    clock_ = delta.lruClock;
+}
+
+void
+SetAssocCache::restoreFrom(const SetAssocCache &image)
+{
+    SPB_ASSERT(image.frames_.size() == frames_.size(),
+               "transplant between caches of %zu and %zu frames",
+               image.frames_.size(), frames_.size());
+    for (std::size_t w = 0; w < changed_.size(); ++w) {
+        forEachBit(w, changed_[w] | image.changed_[w], [&](std::size_t i) {
+            frames_[i] = transplanted(image.frames_[i]);
+        });
+        changed_[w] = 0;
+    }
+    clock_ = image.clock_;
+}
+
+bool
+SetAssocCache::equalsTransplantOf(const SetAssocCache &image) const
+{
+    if (image.frames_.size() != frames_.size() || image.clock_ != clock_)
+        return false;
+    for (std::size_t i = 0; i < frames_.size(); ++i)
+        if (!(frames_[i] == transplanted(image.frames_[i])))
+            return false;
+    return true;
+}
+
+void
+SetAssocCache::clearChanges()
+{
+    std::fill(changed_.begin(), changed_.end(), 0);
 }
 
 std::uint64_t

@@ -27,6 +27,8 @@ struct CacheBlk
     bool prefetched = false;             //!< filled by a prefetch
     bool prefetchUsed = false;           //!< demand-referenced since fill
     MemCmd fillCmd = MemCmd::ReadReq;    //!< command that caused the fill
+
+    bool operator==(const CacheBlk &) const = default;
 };
 
 /** Geometry of a cache. */
@@ -43,12 +45,12 @@ struct CacheGeometry
 };
 
 /**
- * Point-in-time copy of a cache's valid frames and LRU clock. The
- * sampling subsystem uses these to transplant functionally-warmed tag
- * state into the detailed machine at each window start and to
- * serialize it into architectural checkpoints (see src/sample).
+ * The frames of one cache that changed since its change bits were
+ * last cleared, with the LRU clock. Invalid frames are included, so
+ * applying a delta replays evictions too. Sampled runs record one per
+ * level and window into architectural checkpoints (see src/sample).
  */
-struct CacheTagSnapshot
+struct CacheTagDelta
 {
     struct Frame
     {
@@ -58,7 +60,7 @@ struct CacheTagSnapshot
         std::uint64_t lastTouch = 0;
     };
     std::uint64_t lruClock = 0;
-    std::vector<Frame> frames; //!< valid frames only, index-ascending
+    std::vector<Frame> frames; //!< changed frames, index-ascending
 };
 
 /** Structural set-associative cache with LRU replacement. */
@@ -100,14 +102,39 @@ class SetAssocCache
     /** All frames (set-major); for stats finalisation and tests. */
     const std::vector<CacheBlk> &frames() const { return frames_; }
 
-    /** Copy out the valid frames and LRU clock. */
-    CacheTagSnapshot snapshotTags() const;
+    // Change tracking for sampled runs. Every frame has a change bit,
+    // set by the non-const find() on a hit and by victim() on the frame
+    // it returns: every mutation of a frame goes through a pointer or
+    // reference one of the two handed out. The const find() marks
+    // nothing.
 
-    /** Replace the whole array content with @p snap: every frame not in
-     *  the snapshot becomes invalid, LRU order is reproduced exactly.
-     *  Prefetch metadata of restored frames is cleared (functional
-     *  warming models demand traffic only). */
-    void restoreTags(const CacheTagSnapshot &snap);
+    /** The frames marked since the last clearChanges(), as a delta. */
+    CacheTagDelta snapshotChanges() const;
+
+    /** Write @p delta's frames (marking them) and its LRU clock.
+     *  Prefetch metadata of the written frames is cleared. */
+    void applyDelta(const CacheTagDelta &delta);
+
+    /**
+     * Make this array equal @p image frame for frame, under the
+     * transplant normalisation: an invalid image frame becomes
+     * CacheBlk{}, a valid one keeps tag, state and LRU stamp and loses
+     * its prefetch metadata (functional warming models demand traffic
+     * only). Only frames marked in either array are copied: the others
+     * are still equal as of the previous restoreFrom() (or of
+     * construction), provided the image clears its bits only right
+     * after it was copied from. Copies the LRU clock and clears this
+     * array's change bits, not the image's.
+     */
+    void restoreFrom(const SetAssocCache &image);
+
+    /** True if every frame equals @p image's under the transplant
+     *  normalisation and the LRU clocks match: the full-copy reference
+     *  that --check=full holds restoreFrom() to. */
+    bool equalsTransplantOf(const SetAssocCache &image) const;
+
+    /** Clear every change bit. */
+    void clearChanges();
 
     /** Set index of an address (for conflict analysis in tests). */
     std::uint64_t
@@ -124,8 +151,18 @@ class SetAssocCache
     std::uint32_t ways_;
     std::vector<CacheBlk> frames_; // sets_ * ways_, set-major
     std::uint64_t clock_ = 0;      // LRU timestamp source
+    // spburst-lint: state(host-only) -- host bookkeeping of which
+    // frames changed, not simulated state
+    std::vector<std::uint64_t> changed_; // one bit per frame
 
-    CacheBlk *setBase(Addr block_addr);
+    /** Index of the frame holding @p block_addr, or frames_.size(). */
+    std::size_t lookup(Addr block_addr) const;
+
+    void
+    markChanged(std::size_t frame)
+    {
+        changed_[frame >> 6] |= std::uint64_t{1} << (frame & 63);
+    }
 };
 
 } // namespace spburst

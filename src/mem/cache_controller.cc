@@ -687,7 +687,7 @@ CacheController::finalizeStats()
 }
 
 void
-CacheController::restoreWarmTags(const CacheTagSnapshot &snap)
+CacheController::restoreWarmTags(const SetAssocCache &image)
 {
     SPB_ASSERT(mshr_.inUse() == 0 && burstQueue_.empty() &&
                    prefetchQueue_.empty(),
@@ -695,7 +695,11 @@ CacheController::restoreWarmTags(const CacheTagSnapshot &snap)
                "(%zu MSHRs, %zu bursts, %zu prefetches)",
                params_.name.c_str(), mshr_.inUse(), burstQueue_.size(),
                prefetchQueue_.size());
-    tags_.restoreTags(snap);
+    tags_.restoreFrom(image);
+    SPBURST_CHECK_SLOW(Coherence, tags_.equalsTransplantOf(image),
+                       "%s: the tag array differs from the warm image "
+                       "after the change-set transplant",
+                       params_.name.c_str());
 }
 
 } // namespace spburst

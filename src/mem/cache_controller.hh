@@ -177,12 +177,16 @@ class CacheController : public MemLevel
     void finalizeStats();
 
     /**
-     * Replace the tag array with functionally-warmed state (sampling;
-     * see src/sample). Only legal while the controller is idle — no
-     * outstanding misses, bursts or queued prefetches — i.e. between a
-     * drained detailed window and the next one.
+     * Make the tag array equal the functionally-warmed @p image
+     * (sampling; see src/sample), copying only the frames either side
+     * changed since the previous transplant (see
+     * SetAssocCache::restoreFrom). Only legal while the controller is
+     * idle — no outstanding misses, bursts or queued prefetches — i.e.
+     * between a drained detailed window and the next one. Under
+     * --check=full the result is compared with a full copy of the
+     * image.
      */
-    void restoreWarmTags(const CacheTagSnapshot &snap);
+    void restoreWarmTags(const SetAssocCache &image);
 
   private:
     struct QueuedPrefetch

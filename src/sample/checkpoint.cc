@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #include "common/logging.hh"
 
@@ -11,92 +12,141 @@ namespace spburst::sample
 namespace
 {
 
-constexpr char kMagic[8] = {'S', 'P', 'B', 'S', 'M', 'P', '0', '1'};
+constexpr char kMagic[8] = {'S', 'P', 'B', 'S', 'M', 'P', '0', '2'};
 
-// ---- little-endian primitive writers/readers ------------------------
+// Encoded sizes (see the format in checkpoint.hh). The loader checks
+// every count against the bytes left before it allocates.
+constexpr std::size_t kFrameBytes = 4 + 8 + 1 + 8;
+constexpr std::size_t kTlbEntryBytes = 4 + 8 + 8;
+constexpr std::size_t kUopBytes = 8 + 8 + 7;
+/** A window with empty deltas, no TLB entries and no uops. */
+constexpr std::size_t kMinWindowBytes =
+    8 + 3 * (8 + 4) + (8 + 4) + (8 + 8 + 4 + 4 + 4 + 8) + 4;
+
+/** Little-endian encoder into a byte buffer. */
+class Encoder
+{
+  public:
+    void u8(std::uint8_t v) { bytes_.push_back(v); }
+    void u32(std::uint32_t v) { put(v, 4); }
+    void u64(std::uint64_t v) { put(v, 8); }
+
+    void
+    raw(const void *p, std::size_t n)
+    {
+        const auto *b = static_cast<const unsigned char *>(p);
+        bytes_.insert(bytes_.end(), b, b + n);
+    }
+
+    /** Write the buffered bytes to @p f and empty the buffer.
+     *  @return False if fwrite wrote fewer bytes. */
+    bool
+    flush(std::FILE *f)
+    {
+        const bool ok =
+            std::fwrite(bytes_.data(), 1, bytes_.size(), f) ==
+            bytes_.size();
+        bytes_.clear();
+        return ok;
+    }
+
+  private:
+    void
+    put(std::uint64_t v, int n)
+    {
+        unsigned char b[8];
+        for (int i = 0; i < n; ++i)
+            b[i] = static_cast<unsigned char>(v >> (8 * i));
+        bytes_.insert(bytes_.end(), b, b + n);
+    }
+
+    std::vector<unsigned char> bytes_;
+};
+
+/** Bounds-checked little-endian decoder over a file read into memory:
+ *  a read past the end fails instead of reading it. */
+class Decoder
+{
+  public:
+    explicit Decoder(const std::vector<unsigned char> &bytes)
+        : p_(bytes.data()), left_(bytes.size())
+    {
+    }
+
+    bool u8(std::uint8_t &v) { return get(v, 1); }
+    bool u32(std::uint32_t &v) { return get(v, 4); }
+    bool u64(std::uint64_t &v) { return get(v, 8); }
+
+    bool
+    raw(void *dst, std::size_t n)
+    {
+        if (n > left_)
+            return false;
+        std::memcpy(dst, p_, n);
+        p_ += n;
+        left_ -= n;
+        return true;
+    }
+
+    /** True if @p count records of @p size bytes fit in what is left. */
+    bool
+    fits(std::uint64_t count, std::size_t size) const
+    {
+        return count <= left_ / size;
+    }
+
+    std::size_t left() const { return left_; }
+
+  private:
+    template <typename T>
+    bool
+    get(T &v, std::size_t n)
+    {
+        if (n > left_)
+            return false;
+        std::uint64_t x = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            x |= static_cast<std::uint64_t>(p_[i]) << (8 * i);
+        v = static_cast<T>(x);
+        p_ += n;
+        left_ -= n;
+        return true;
+    }
+
+    const unsigned char *p_;
+    std::size_t left_;
+};
+
+// ---- windows ---------------------------------------------------------
 
 void
-putU64(std::FILE *f, std::uint64_t v)
+putCache(Encoder &out, const CacheTagDelta &c)
 {
-    unsigned char b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xff);
-    std::fwrite(b, 1, sizeof(b), f);
-}
-
-void
-putU32(std::FILE *f, std::uint32_t v)
-{
-    unsigned char b[4];
-    for (int i = 0; i < 4; ++i)
-        b[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xff);
-    std::fwrite(b, 1, sizeof(b), f);
-}
-
-void
-putU8(std::FILE *f, std::uint8_t v)
-{
-    std::fwrite(&v, 1, 1, f);
-}
-
-bool
-getU64(std::FILE *f, std::uint64_t &v)
-{
-    unsigned char b[8];
-    if (std::fread(b, 1, sizeof(b), f) != sizeof(b))
-        return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return true;
-}
-
-bool
-getU32(std::FILE *f, std::uint32_t &v)
-{
-    unsigned char b[4];
-    if (std::fread(b, 1, sizeof(b), f) != sizeof(b))
-        return false;
-    v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return true;
-}
-
-bool
-getU8(std::FILE *f, std::uint8_t &v)
-{
-    return std::fread(&v, 1, 1, f) == 1;
-}
-
-// ---- composite writers/readers --------------------------------------
-
-void
-putCache(std::FILE *f, const CacheTagSnapshot &c)
-{
-    putU64(f, c.lruClock);
-    putU32(f, static_cast<std::uint32_t>(c.frames.size()));
-    for (const CacheTagSnapshot::Frame &fr : c.frames) {
-        putU32(f, fr.index);
-        putU64(f, fr.tag);
-        putU8(f, static_cast<std::uint8_t>(fr.state));
-        putU64(f, fr.lastTouch);
+    out.u64(c.lruClock);
+    out.u32(static_cast<std::uint32_t>(c.frames.size()));
+    for (const CacheTagDelta::Frame &fr : c.frames) {
+        out.u32(fr.index);
+        out.u64(fr.tag);
+        out.u8(static_cast<std::uint8_t>(fr.state));
+        out.u64(fr.lastTouch);
     }
 }
 
+/** Decode one level's delta; every frame index must be < @p frames. */
 bool
-getCache(std::FILE *f, CacheTagSnapshot &c)
+getCache(Decoder &in, std::size_t frames, CacheTagDelta &c)
 {
     std::uint32_t n = 0;
-    if (!getU64(f, c.lruClock) || !getU32(f, n))
+    if (!in.u64(c.lruClock) || !in.u32(n) || !in.fits(n, kFrameBytes))
         return false;
     c.frames.resize(n);
-    for (CacheTagSnapshot::Frame &fr : c.frames) {
+    for (CacheTagDelta::Frame &fr : c.frames) {
         std::uint8_t state = 0;
-        if (!getU32(f, fr.index) || !getU64(f, fr.tag) ||
-            !getU8(f, state) || !getU64(f, fr.lastTouch))
+        if (!in.u32(fr.index) || !in.u64(fr.tag) || !in.u8(state) ||
+            !in.u64(fr.lastTouch))
             return false;
-        if (state > static_cast<std::uint8_t>(CohState::Modified))
+        if (fr.index >= frames ||
+            state > static_cast<std::uint8_t>(CohState::Modified))
             return false;
         fr.state = static_cast<CohState>(state);
     }
@@ -104,72 +154,74 @@ getCache(std::FILE *f, CacheTagSnapshot &c)
 }
 
 void
-putWindow(std::FILE *f, const WindowSnapshot &w)
+putWindow(Encoder &out, const WindowDelta &w)
 {
-    putU64(f, w.startUop);
-    putCache(f, w.l1);
-    putCache(f, w.l2);
-    putCache(f, w.l3);
-    putU64(f, w.tlb.useClock);
-    putU32(f, static_cast<std::uint32_t>(w.tlb.entries.size()));
+    out.u64(w.startUop);
+    putCache(out, w.l1);
+    putCache(out, w.l2);
+    putCache(out, w.l3);
+    out.u64(w.tlb.useClock);
+    out.u32(static_cast<std::uint32_t>(w.tlb.entries.size()));
     for (const TlbSnapshot::Entry &e : w.tlb.entries) {
-        putU32(f, e.index);
-        putU64(f, e.page);
-        putU64(f, e.lastUse);
+        out.u32(e.index);
+        out.u64(e.page);
+        out.u64(e.lastUse);
     }
-    putU64(f, w.detector.lastBlock);
-    putU64(f, w.detector.lastAddr);
-    putU32(f, w.detector.satCounter);
-    putU32(f, w.detector.backwardCounter);
-    putU32(f, w.detector.storeCount);
-    putU64(f, w.detector.windowBytes);
-    putU32(f, static_cast<std::uint32_t>(w.uops.size()));
+    out.u64(w.detector.lastBlock);
+    out.u64(w.detector.lastAddr);
+    out.u32(w.detector.satCounter);
+    out.u32(w.detector.backwardCounter);
+    out.u32(w.detector.storeCount);
+    out.u64(w.detector.windowBytes);
+    out.u32(static_cast<std::uint32_t>(w.uops.size()));
     for (const MicroOp &op : w.uops) {
-        putU64(f, op.addr);
-        putU64(f, op.pc);
-        putU8(f, static_cast<std::uint8_t>(op.cls));
-        putU8(f, static_cast<std::uint8_t>(op.region));
-        putU8(f, op.size);
-        putU8(f, op.srcDist1);
-        putU8(f, op.srcDist2);
-        putU8(f, op.mispredicted ? 1 : 0);
-        putU8(f, op.hasDest ? 1 : 0);
+        out.u64(op.addr);
+        out.u64(op.pc);
+        out.u8(static_cast<std::uint8_t>(op.cls));
+        out.u8(static_cast<std::uint8_t>(op.region));
+        out.u8(op.size);
+        out.u8(op.srcDist1);
+        out.u8(op.srcDist2);
+        out.u8(op.mispredicted ? 1 : 0);
+        out.u8(op.hasDest ? 1 : 0);
     }
 }
 
+/** Decode one window; every index must fit @p image's arrays. */
 bool
-getWindow(std::FILE *f, WindowSnapshot &w)
+getWindow(Decoder &in, const WarmImage &image, WindowDelta &w)
 {
-    if (!getU64(f, w.startUop) || !getCache(f, w.l1) ||
-        !getCache(f, w.l2) || !getCache(f, w.l3))
+    if (!in.u64(w.startUop) ||
+        !getCache(in, image.l1().frames().size(), w.l1) ||
+        !getCache(in, image.l2().frames().size(), w.l2) ||
+        !getCache(in, image.l3().frames().size(), w.l3))
         return false;
     std::uint32_t n = 0;
-    if (!getU64(f, w.tlb.useClock) || !getU32(f, n))
+    if (!in.u64(w.tlb.useClock) || !in.u32(n) ||
+        !in.fits(n, kTlbEntryBytes))
         return false;
     w.tlb.entries.resize(n);
     for (TlbSnapshot::Entry &e : w.tlb.entries) {
-        if (!getU32(f, e.index) || !getU64(f, e.page) ||
-            !getU64(f, e.lastUse))
+        if (!in.u32(e.index) || !in.u64(e.page) || !in.u64(e.lastUse) ||
+            e.index >= image.tlb().params().entries)
             return false;
     }
     std::uint32_t sat = 0, back = 0, count = 0;
-    if (!getU64(f, w.detector.lastBlock) ||
-        !getU64(f, w.detector.lastAddr) || !getU32(f, sat) ||
-        !getU32(f, back) || !getU32(f, count) ||
-        !getU64(f, w.detector.windowBytes))
+    if (!in.u64(w.detector.lastBlock) || !in.u64(w.detector.lastAddr) ||
+        !in.u32(sat) || !in.u32(back) || !in.u32(count) ||
+        !in.u64(w.detector.windowBytes))
         return false;
     w.detector.satCounter = sat;
     w.detector.backwardCounter = back;
     w.detector.storeCount = count;
-    if (!getU32(f, n))
+    if (!in.u32(n) || !in.fits(n, kUopBytes))
         return false;
     w.uops.resize(n);
     for (MicroOp &op : w.uops) {
         std::uint8_t cls = 0, region = 0, mispred = 0, has_dest = 0;
-        if (!getU64(f, op.addr) || !getU64(f, op.pc) ||
-            !getU8(f, cls) || !getU8(f, region) || !getU8(f, op.size) ||
-            !getU8(f, op.srcDist1) || !getU8(f, op.srcDist2) ||
-            !getU8(f, mispred) || !getU8(f, has_dest))
+        if (!in.u64(op.addr) || !in.u64(op.pc) || !in.u8(cls) ||
+            !in.u8(region) || !in.u8(op.size) || !in.u8(op.srcDist1) ||
+            !in.u8(op.srcDist2) || !in.u8(mispred) || !in.u8(has_dest))
             return false;
         if (cls >= kNumOpClasses || region >= kNumRegions)
             return false;
@@ -179,6 +231,27 @@ getWindow(std::FILE *f, WindowSnapshot &w)
         op.hasDest = has_dest != 0;
     }
     return true;
+}
+
+/** Read all of regular file @p path into @p bytes with one fread. */
+bool
+readFile(const std::string &path, std::vector<unsigned char> &bytes)
+{
+    std::error_code ec;
+    if (!std::filesystem::is_regular_file(path, ec))
+        return false;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    if (ec)
+        return false;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr)
+        return false;
+    bytes.resize(size);
+    const bool ok = std::fread(bytes.data(), 1, bytes.size(), f) ==
+                        bytes.size() &&
+                    std::fgetc(f) == EOF;
+    std::fclose(f);
+    return ok;
 }
 
 } // namespace
@@ -197,15 +270,20 @@ Checkpoint::save(const std::string &path) const
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (f == nullptr)
         SPB_FATAL("cannot write checkpoint temp file '%s'", tmp.c_str());
-    std::fwrite(kMagic, 1, sizeof(kMagic), f);
-    putU32(f, static_cast<std::uint32_t>(identity.size()));
-    std::fwrite(identity.data(), 1, identity.size(), f);
-    putU64(f, warmedUops);
-    putU32(f, static_cast<std::uint32_t>(windows.size()));
-    for (const WindowSnapshot &w : windows)
-        putWindow(f, w);
-    const bool ok = std::ferror(f) == 0;
-    std::fclose(f);
+    Encoder out;
+    out.raw(kMagic, sizeof(kMagic));
+    out.u32(static_cast<std::uint32_t>(identity.size()));
+    out.raw(identity.data(), identity.size());
+    out.u64(warmedUops);
+    out.u32(static_cast<std::uint32_t>(windows.size()));
+    bool ok = out.flush(f);
+    for (const WindowDelta &w : windows) {
+        putWindow(out, w);
+        ok = ok && out.flush(f);
+    }
+    // A failed flush on close is as fatal as a short write: neither
+    // may leave a truncated file to be renamed into place.
+    ok = std::fclose(f) == 0 && ok;
     if (!ok) {
         std::remove(tmp.c_str());
         SPB_FATAL("I/O error writing checkpoint '%s'", tmp.c_str());
@@ -219,40 +297,32 @@ Checkpoint::save(const std::string &path) const
 
 bool
 Checkpoint::load(const std::string &path, const std::string &identity,
-                 Checkpoint &out)
+                 const WarmImage &image, Checkpoint &out)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr)
+    std::vector<unsigned char> bytes;
+    if (!readFile(path, bytes))
         return false;
-    bool ok = false;
-    do {
-        char magic[8];
-        if (std::fread(magic, 1, sizeof(magic), f) != sizeof(magic) ||
-            std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-            break;
-        std::uint32_t id_len = 0;
-        if (!getU32(f, id_len) || id_len > 4096)
-            break;
-        std::string id(id_len, '\0');
-        if (std::fread(id.data(), 1, id_len, f) != id_len ||
-            id != identity)
-            break;
-        std::uint32_t window_count = 0;
-        if (!getU64(f, out.warmedUops) || !getU32(f, window_count))
-            break;
-        out.identity = id;
-        out.windows.resize(window_count);
-        bool windows_ok = true;
-        for (WindowSnapshot &w : out.windows) {
-            if (!getWindow(f, w)) {
-                windows_ok = false;
-                break;
-            }
-        }
-        ok = windows_ok;
-    } while (false);
-    std::fclose(f);
-    return ok;
+    Decoder in(bytes);
+    char magic[8];
+    if (!in.raw(magic, sizeof(magic)) ||
+        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
+        return false;
+    std::uint32_t id_len = 0;
+    if (!in.u32(id_len) || id_len > 4096 || !in.fits(id_len, 1))
+        return false;
+    std::string id(id_len, '\0');
+    if (!in.raw(id.data(), id_len) || id != identity)
+        return false;
+    std::uint32_t window_count = 0;
+    if (!in.u64(out.warmedUops) || !in.u32(window_count) ||
+        !in.fits(window_count, kMinWindowBytes))
+        return false;
+    out.identity = id;
+    out.windows.resize(window_count);
+    for (WindowDelta &w : out.windows)
+        if (!getWindow(in, image, w))
+            return false;
+    return in.left() == 0;
 }
 
 } // namespace spburst::sample

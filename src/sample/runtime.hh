@@ -37,7 +37,9 @@ struct SampleRuntime
 {
     SampleSpec spec;
 
-    /** Shadow warm state (live mode; null when replaying). */
+    /** Shadow warm state: fed uops when warming live, the
+     *  checkpoint's deltas when replaying. Transplanted into the
+     *  detailed machine at each window start either way. */
     std::unique_ptr<WarmImage> image;
 
     /** Live mode: the warming wrapper around the real trace source.

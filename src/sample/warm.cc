@@ -81,16 +81,34 @@ WarmImage::apply(const MicroOp &op)
         detector_.onStoreCommit(op.addr, op.size);
 }
 
-WindowSnapshot
-WarmImage::snapshot() const
+WindowDelta
+WarmImage::snapshotChanges() const
 {
-    WindowSnapshot snap;
-    snap.l1 = l1_.snapshotTags();
-    snap.l2 = l2_.snapshotTags();
-    snap.l3 = l3_.snapshotTags();
-    snap.tlb = tlb_.snapshotEntries();
-    snap.detector = detector_.architecturalState();
-    return snap;
+    WindowDelta delta;
+    delta.l1 = l1_.snapshotChanges();
+    delta.l2 = l2_.snapshotChanges();
+    delta.l3 = l3_.snapshotChanges();
+    delta.tlb = tlb_.snapshotEntries();
+    delta.detector = detector_.architecturalState();
+    return delta;
+}
+
+void
+WarmImage::applyDelta(const WindowDelta &window)
+{
+    l1_.applyDelta(window.l1);
+    l2_.applyDelta(window.l2);
+    l3_.applyDelta(window.l3);
+    tlb_.restoreEntries(window.tlb);
+    detector_.restoreArchitecturalState(window.detector);
+}
+
+void
+WarmImage::clearChanges()
+{
+    l1_.clearChanges();
+    l2_.clearChanges();
+    l3_.clearChanges();
 }
 
 MicroOp

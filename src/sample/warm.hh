@@ -13,7 +13,10 @@
  * start, so the detailed window always begins from a machine state
  * that is independent of whichever SB policy ran the previous windows.
  * That independence is what lets one architectural checkpoint serve a
- * whole policy sweep (see checkpoint.hh).
+ * whole policy sweep (see checkpoint.hh). The copy moves only the cache
+ * frames that changed on either side since the previous window
+ * (SetAssocCache change bits); a checkpoint replay rebuilds the image
+ * from recorded deltas instead of uops and transplants it the same way.
  *
  * Deliberately not warmed (standard SMARTS practice; the detailed
  * per-window warm-up prefix absorbs the resulting cold-start bias):
@@ -52,15 +55,16 @@ struct WarmStats
     std::uint64_t evictions = 0;
 };
 
-/** End-of-warming architectural state for one detailed window, plus
- *  the recorded uop stream the window executes. This is the unit an
- *  architectural checkpoint stores per window. */
-struct WindowSnapshot
+/** What an architectural checkpoint stores per detailed window: the
+ *  cache frames warming changed since the previous window's delta,
+ *  the whole TLB and SPB detector, and the recorded uop stream the
+ *  window executes. */
+struct WindowDelta
 {
     std::uint64_t startUop = 0; //!< uop index where detailed fetch begins
-    CacheTagSnapshot l1;
-    CacheTagSnapshot l2;
-    CacheTagSnapshot l3;
+    CacheTagDelta l1;
+    CacheTagDelta l2;
+    CacheTagDelta l3;
     TlbSnapshot tlb;
     SpbDetectorState detector;
     std::vector<MicroOp> uops; //!< warmup + window correct-path uops
@@ -77,8 +81,18 @@ class WarmImage
      *  tags (demand path only) and the SPB detector. */
     void apply(const MicroOp &op);
 
-    /** Capture the current state (uops/startUop left for the caller). */
-    WindowSnapshot snapshot() const;
+    /** The state changed since the last clearChanges(): cache frame
+     *  deltas, TLB and detector whole (uops/startUop left for the
+     *  caller). */
+    WindowDelta snapshotChanges() const;
+
+    /** Checkpoint replay: bring the image to the state @p window was
+     *  recorded from, marking the frames it writes. */
+    void applyDelta(const WindowDelta &window);
+
+    /** Start the next sampling period: clear every level's change
+     *  bits. Called once per period, whether or not it transplants. */
+    void clearChanges();
 
     const SetAssocCache &l1() const { return l1_; }
     const SetAssocCache &l2() const { return l2_; }

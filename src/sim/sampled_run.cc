@@ -11,7 +11,8 @@
  * which SB policy ran the previous windows. Per-window IPC and
  * SB-stall measurements aggregate into mean +/- 95% CI estimates;
  * optional architectural checkpoints let a whole policy sweep reuse
- * one warming pass.
+ * one warming pass: a replay feeds the warm image the recorded
+ * per-window deltas instead of uops, and transplants it the same way.
  */
 
 #include <cstdio>
@@ -76,10 +77,18 @@ System::setupSampling()
 
     sample_ = std::make_unique<sample::SampleRuntime>();
     sample_->spec = sp;
+    sample_->image = std::make_unique<sample::WarmImage>(
+        config_.mem, config_.coreParams.tlb, config_.spb);
     if (!sp.checkpointPath.empty()) {
         const std::string identity = sampleIdentity(config_);
+        // The writer records every period, so a file holding another
+        // number of windows is as stale as one with another identity.
+        const std::uint64_t periods =
+            config_.maxUopsPerCore / sp.intervalUops;
         if (sample::Checkpoint::load(sp.checkpointPath, identity,
-                                     sample_->checkpoint)) {
+                                     *sample_->image,
+                                     sample_->checkpoint) &&
+            sample_->checkpoint.windows.size() == periods) {
             sample_->replay = true;
             sample_->info.fromCheckpoint = true;
         } else {
@@ -87,10 +96,6 @@ System::setupSampling()
             sample_->checkpoint.identity = identity;
             sample_->writeCheckpoint = true;
         }
-    }
-    if (!sample_->replay) {
-        sample_->image = std::make_unique<sample::WarmImage>(
-            config_.mem, config_.coreParams.tlb, config_.spb);
     }
 }
 
@@ -104,6 +109,7 @@ SimResult
 System::runSampled(const std::function<bool()> &interrupt)
 {
     sample::SampleRuntime &rt = *sample_;
+    sample::WarmImage &image = *rt.image;
     const sample::SampleSpec &sp = rt.spec;
     Core &core = *cores_[0];
 
@@ -154,55 +160,54 @@ System::runSampled(const std::function<bool()> &interrupt)
         if (measuring_done && !rt.writeCheckpoint)
             break;
 
-        // ---- functional warming / checkpoint window selection ----
-        sample::WindowSnapshot local;
-        sample::WindowSnapshot *snap = nullptr;
+        // ---- functional warming, or the checkpoint's delta ----
+        // The window this period records (writer) or replays.
+        sample::WindowDelta *window = nullptr;
         if (rt.replay) {
-            if (p >= rt.checkpoint.windows.size()) {
-                SPB_FATAL("checkpoint '%s' holds %zu windows but the "
-                          "run needs period %llu — truncated file?",
-                          sp.checkpointPath.c_str(),
-                          rt.checkpoint.windows.size(),
-                          static_cast<unsigned long long>(p));
-            }
-            snap = &rt.checkpoint.windows[p];
+            window = &rt.checkpoint.windows[p];
+            image.applyDelta(*window);
         } else {
             warm_uops(warm_per_period);
             if (rt.writeCheckpoint) {
-                rt.checkpoint.windows.push_back(rt.image->snapshot());
-                snap = &rt.checkpoint.windows.back();
-                snap->uops.reserve(window_budget);
-            } else {
-                local = rt.image->snapshot();
-                snap = &local;
+                rt.checkpoint.windows.push_back(image.snapshotChanges());
+                window = &rt.checkpoint.windows.back();
+                window->startUop = rt.observer->position();
+                window->uops.reserve(window_budget);
             }
-            snap->startUop = rt.observer->position();
         }
 
         if (measuring_done) {
             // The CI target is met but this run writes the checkpoint:
             // keep warming and recording so every period is on disk for
             // runs with other policies or a different adaptive cutoff.
-            rt.observer->setRecord(&snap->uops);
+            // Each recorded delta stays relative to the previous one.
+            // No transplant follows, so these clears break none.
+            image.clearChanges();
+            rt.observer->setRecord(&window->uops);
             warm_uops(window_budget);
             rt.observer->setRecord(nullptr);
             continue;
         }
 
         // ---- transplant warm state into the drained machine ----
+        // restoreWarmTags copies only the frames changed on either
+        // side since the previous window; the TLB and the detector
+        // registers are copied whole.
         SPB_ASSERT(core.drained() && clock_.events.empty(),
                    "sampling window start on a busy machine");
-        mem_.l1d(0).restoreWarmTags(snap->l1);
-        mem_.l2(0).restoreWarmTags(snap->l2);
-        mem_.l3().restoreWarmTags(snap->l3);
-        core.restoreWarmState(snap->tlb,
-                              config_.useSpb ? &snap->detector
-                                             : nullptr);
+        mem_.l1d(0).restoreWarmTags(image.l1());
+        mem_.l2(0).restoreWarmTags(image.l2());
+        mem_.l3().restoreWarmTags(image.l3());
+        const SpbDetectorState detector =
+            image.detector().architecturalState();
+        core.restoreWarmState(image.tlb().snapshotEntries(),
+                              config_.useSpb ? &detector : nullptr);
+        image.clearChanges();
 
         if (rt.replay)
-            rt.replaySource->loadWindow(&snap->uops);
+            rt.replaySource->loadWindow(&window->uops);
         else if (rt.writeCheckpoint)
-            rt.observer->setRecord(&snap->uops);
+            rt.observer->setRecord(&window->uops);
 
         // ---- detailed warm-up + measured window ----
         const std::uint64_t commit0 = core.committed();

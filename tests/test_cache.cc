@@ -1,12 +1,13 @@
 /**
  * @file
- * Unit tests for the structural cache pieces: tag array, MSHR file and
- * the DRAM model.
+ * Unit tests for the structural cache pieces: tag array (with its
+ * per-frame change tracking), MSHR file and the DRAM model.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/clock.hh"
+#include "common/rng.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/mshr.hh"
@@ -95,6 +96,135 @@ TEST(SetAssocCache, FillResetsPrefetchMetadata)
     cache.fill(frame, 0x1000, CohState::Shared);
     EXPECT_FALSE(frame.prefetched);
     EXPECT_FALSE(frame.prefetchUsed);
+}
+
+// ---------------------------------------------------------------------
+// Change tracking: the delta transplant of sampled runs
+// ---------------------------------------------------------------------
+
+/** The transplant normalisation, written out independently of
+ *  SetAssocCache: invalid frames are blank, valid ones keep tag, state
+ *  and LRU stamp only. */
+CacheBlk
+transplantOf(const CacheBlk &warm)
+{
+    CacheBlk f;
+    if (isValid(warm.state)) {
+        f.tag = warm.tag;
+        f.state = warm.state;
+        f.lastTouch = warm.lastTouch;
+    }
+    return f;
+}
+
+/** One random frame mutation through the public API, of the kinds the
+ *  cache controller and the warm image make. */
+void
+mutate(SetAssocCache &c, Rng &rng)
+{
+    const Addr block = rng.below(256) * kBlockSize;
+    switch (rng.below(5)) {
+      case 0: // demand hit
+        if (CacheBlk *b = c.find(block))
+            c.touch(*b);
+        break;
+      case 1: // demand fill
+        if (c.find(block) == nullptr)
+            c.fill(c.victim(block), block,
+                   rng.chance(0.5) ? CohState::Exclusive
+                                   : CohState::Modified);
+        break;
+      case 2:
+        c.invalidate(block);
+        break;
+      case 3: // controller-style field writes through find()
+        if (CacheBlk *b = c.find(block)) {
+            b->state = CohState::Shared;
+            b->prefetchUsed = true;
+        }
+        break;
+      default: // prefetch fill
+        if (c.find(block) == nullptr) {
+            CacheBlk &v = c.victim(block);
+            c.fill(v, block, CohState::Exclusive);
+            v.prefetched = true;
+            v.fillCmd = MemCmd::StorePF;
+        }
+        break;
+    }
+}
+
+TEST(CacheChangeTracking, RestoreFromMatchesIndependentlyMutatedImage)
+{
+    // 32 sets x 4 ways: 128 frames, two bitmap words. 256 candidate
+    // blocks keep hits, evictions and invalidations all frequent.
+    const CacheGeometry geom{8 * 1024, 4};
+    // image/detailed play a live run; replay/twin play its checkpoint
+    // replay: replay is fed image's deltas, twin mirrors detailed's
+    // mutations (same seed) and is transplanted from replay.
+    SetAssocCache image(geom), detailed(geom), replay(geom), twin(geom);
+    Rng image_rng(7), detailed_rng(11), twin_rng(11);
+    for (int period = 0; period < 200; ++period) {
+        for (std::uint64_t i = image_rng.below(40); i > 0; --i)
+            mutate(image, image_rng);
+        const std::uint64_t n = detailed_rng.below(40);
+        EXPECT_EQ(twin_rng.below(40), n);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            mutate(detailed, detailed_rng);
+            mutate(twin, twin_rng);
+        }
+
+        replay.applyDelta(image.snapshotChanges());
+        detailed.restoreFrom(image);
+        twin.restoreFrom(replay);
+        image.clearChanges();
+        replay.clearChanges();
+
+        for (std::size_t f = 0; f < image.frames().size(); ++f) {
+            const CacheBlk want = transplantOf(image.frames()[f]);
+            ASSERT_EQ(detailed.frames()[f], want)
+                << "period " << period << " frame " << f;
+            ASSERT_EQ(twin.frames()[f], want)
+                << "period " << period << " frame " << f;
+        }
+        EXPECT_TRUE(detailed.equalsTransplantOf(image));
+        EXPECT_TRUE(twin.equalsTransplantOf(image));
+        EXPECT_TRUE(detailed.snapshotChanges().frames.empty())
+            << "restoreFrom clears the target's change bits";
+    }
+}
+
+TEST(CacheChangeTracking, ConstFindMarksNothing)
+{
+    SetAssocCache cache(smallGeom());
+    cache.fill(cache.victim(0x1000), 0x1000, CohState::Shared);
+    cache.clearChanges();
+    const SetAssocCache &view = cache;
+    EXPECT_NE(view.find(0x1000), nullptr);
+    EXPECT_EQ(view.find(0x2000), nullptr);
+    EXPECT_TRUE(cache.snapshotChanges().frames.empty());
+
+    ASSERT_NE(cache.find(0x1000), nullptr);
+    const CacheTagDelta delta = cache.snapshotChanges();
+    ASSERT_EQ(delta.frames.size(), 1u);
+    EXPECT_EQ(delta.frames[0].tag, 0x1000u);
+}
+
+TEST(CacheChangeTracking, DeltaCarriesInvalidations)
+{
+    SetAssocCache image(smallGeom()), replay(smallGeom());
+    image.fill(image.victim(0x1000), 0x1000, CohState::Modified);
+    replay.applyDelta(image.snapshotChanges());
+    image.clearChanges();
+    EXPECT_NE(replay.find(0x1000), nullptr);
+
+    image.invalidate(0x1000);
+    const CacheTagDelta delta = image.snapshotChanges();
+    ASSERT_EQ(delta.frames.size(), 1u);
+    EXPECT_EQ(delta.frames[0].state, CohState::Invalid);
+    replay.applyDelta(delta);
+    EXPECT_EQ(replay.find(0x1000), nullptr)
+        << "an eviction in the image must reach the replayed copy";
 }
 
 TEST(CohState, OwnershipPredicate)

@@ -5,7 +5,9 @@
  * confidence-interval arithmetic, the functional-warming image,
  * exp::configKey coverage, sampled fixture replay under full checks,
  * determinism across host configurations, architectural-checkpoint
- * round trips (including cross-policy reuse), and a mutation-style
+ * round trips (including cross-policy reuse, the delta chain across
+ * an adaptive stop, and crafted files that must fall back to live
+ * warming), and a mutation-style
  * accuracy check of the sampled estimates against full-detail runs on
  * a long multi-phase trace.
  */
@@ -409,30 +411,48 @@ TEST(SampledDeterminism, IdenticalStatsAcrossJobsSchedulerFastForward)
 TEST(SampleCheckpoint, WriteReplayLiveAreByteIdentical)
 {
     const std::string ckpt = tmpPath("roundtrip.ckpt");
-    std::remove(ckpt.c_str());
+    const check::Level saved = check::level();
+    // At Full, every window start also holds the change-set transplant
+    // to a full copy of the warm image (check domain "coherence").
+    for (const check::Level level : {check::Level::Fast, check::Level::Full}) {
+        SCOPED_TRACE(check::levelName(level));
+        check::setLevel(level);
+        check::ThrowGuard guard;
+        std::remove(ckpt.c_str());
 
-    SystemConfig live_cfg = sampledFixtureConfig("at-commit");
-    const SimResult live = runOne(live_cfg);
+        SystemConfig live_cfg = sampledFixtureConfig("at-commit");
+        const SimResult live = runOne(live_cfg);
 
-    SystemConfig ckpt_cfg = live_cfg;
-    ckpt_cfg.sample.checkpointPath = ckpt;
-    sample::SampleRunInfo write_info, replay_info;
-    const SimResult wrote = runOne(ckpt_cfg, &write_info);
-    EXPECT_TRUE(write_info.wroteCheckpoint);
-    EXPECT_FALSE(write_info.fromCheckpoint);
-    EXPECT_GT(write_info.warmedUops, 0u);
+        SystemConfig ckpt_cfg = live_cfg;
+        ckpt_cfg.sample.checkpointPath = ckpt;
+        sample::SampleRunInfo write_info, replay_info;
+        const SimResult wrote = runOne(ckpt_cfg, &write_info);
+        EXPECT_TRUE(write_info.wroteCheckpoint);
+        EXPECT_FALSE(write_info.fromCheckpoint);
+        EXPECT_GT(write_info.warmedUops, 0u);
 
-    const SimResult replayed = runOne(ckpt_cfg, &replay_info);
-    EXPECT_TRUE(replay_info.fromCheckpoint);
-    EXPECT_EQ(replay_info.warmedUops, 0u)
-        << "replay must not re-warm the trace";
+        const SimResult replayed = runOne(ckpt_cfg, &replay_info);
+        EXPECT_TRUE(replay_info.fromCheckpoint);
+        EXPECT_EQ(replay_info.warmedUops, 0u)
+            << "replay must not re-warm the trace";
 
-    const std::string base = resultFingerprint(live);
-    EXPECT_EQ(base, resultFingerprint(wrote))
-        << "writing the checkpoint must not perturb results";
-    EXPECT_EQ(base, resultFingerprint(replayed))
-        << "replaying the checkpoint must reproduce the live run "
-           "byte for byte";
+        const std::string base = resultFingerprint(live);
+        EXPECT_EQ(base, resultFingerprint(wrote))
+            << "writing the checkpoint must not perturb results";
+        EXPECT_EQ(base, resultFingerprint(replayed))
+            << "replaying the checkpoint must reproduce the live run "
+               "byte for byte";
+        for (const SimResult *r : {&live, &wrote, &replayed}) {
+            EXPECT_EQ(r->checks.totalViolations(), 0u);
+            if (level == check::Level::Full) {
+                // Three levels per window, four windows.
+                EXPECT_GE(r->checks.evaluated[static_cast<int>(
+                              check::Domain::Coherence)],
+                          12u);
+            }
+        }
+    }
+    check::setLevel(saved);
     std::remove(ckpt.c_str());
 }
 
@@ -518,14 +538,155 @@ TEST(SampleCheckpoint, TruncatedFileFallsBackToLiveWarming)
     std::remove(ckpt.c_str());
 }
 
+/** Byte offset of window 0 in checkpoint @p path: after the magic,
+ *  the identity, the warmed-uop count and the window count. */
+long
+firstWindowOffset(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    unsigned char b[4] = {};
+    const bool ok = f != nullptr && std::fseek(f, 8, SEEK_SET) == 0 &&
+                    std::fread(b, 1, 4, f) == 4;
+    if (f != nullptr)
+        std::fclose(f);
+    EXPECT_TRUE(ok) << path;
+    const long id_len = b[0] | b[1] << 8 | b[2] << 16 | b[3] << 24;
+    return 8 + 4 + id_len + 8 + 4;
+}
+
+/** Overwrite the little-endian u32 at @p offset of @p path. */
+void
+patchU32(const std::string &path, long offset, std::uint32_t v)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr) << path;
+    const unsigned char b[4] = {
+        static_cast<unsigned char>(v), static_cast<unsigned char>(v >> 8),
+        static_cast<unsigned char>(v >> 16),
+        static_cast<unsigned char>(v >> 24)};
+    ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(b, 1, 4, f), 4u);
+    ASSERT_EQ(std::fclose(f), 0);
+}
+
+/**
+ * Write a checkpoint for @p cfg, let @p craft damage it, then check
+ * that the run treats the file as absent: live warming, live results,
+ * and a rewritten file that the next run replays.
+ */
+template <typename Craft>
+void
+expectCraftedFileIsRewritten(const SystemConfig &cfg, Craft craft)
+{
+    SystemConfig live_cfg = cfg;
+    live_cfg.sample.checkpointPath.clear();
+    const std::string live = resultFingerprint(runOne(live_cfg));
+
+    const std::string &ckpt = cfg.sample.checkpointPath;
+    std::remove(ckpt.c_str());
+    (void)runOne(cfg);
+    craft(ckpt);
+
+    sample::SampleRunInfo info;
+    EXPECT_EQ(resultFingerprint(runOne(cfg, &info)), live);
+    EXPECT_FALSE(info.fromCheckpoint);
+    EXPECT_TRUE(info.wroteCheckpoint);
+
+    sample::SampleRunInfo again;
+    EXPECT_EQ(resultFingerprint(runOne(cfg, &again)), live);
+    EXPECT_TRUE(again.fromCheckpoint) << "the rewritten file replays";
+    std::remove(ckpt.c_str());
+}
+
+TEST(SampleCheckpoint, OutOfRangeFrameIndexFallsBackToLiveWarming)
+{
+    SystemConfig cfg = sampledFixtureConfig("at-commit");
+    cfg.sample.checkpointPath = tmpPath("badindex.ckpt");
+    const CacheGeometry &l1 = cfg.mem.l1d.geometry;
+    const auto l1_frames =
+        static_cast<std::uint32_t>(l1.numSets() * l1.ways);
+    // Far out of range, and just past the L1 (in range for the L2 and
+    // L3: each level is checked against its own frame count).
+    for (const std::uint32_t bad : {0x7fffffffu, l1_frames}) {
+        SCOPED_TRACE(bad);
+        expectCraftedFileIsRewritten(cfg, [&](const std::string &path) {
+            // Window 0's first L1 frame: after its start uop, the L1
+            // LRU clock and the L1 frame count.
+            patchU32(path, firstWindowOffset(path) + 8 + 8 + 4, bad);
+        });
+    }
+}
+
+TEST(SampleCheckpoint, HugeCountFallsBackToLiveWarming)
+{
+    SystemConfig cfg = sampledFixtureConfig("at-commit");
+    cfg.sample.checkpointPath = tmpPath("hugecount.ckpt");
+    // The window count, then window 0's L1 frame count: either one
+    // would ask for gigabytes before the loader noticed the file ends.
+    for (const long field : {-4L, 8L + 8L}) {
+        SCOPED_TRACE(field);
+        expectCraftedFileIsRewritten(cfg, [&](const std::string &path) {
+            patchU32(path, firstWindowOffset(path) + field, 0xffffffffu);
+        });
+    }
+}
+
+TEST(SampleCheckpoint, V1MagicIsTreatedAsAbsentAndRewrittenAsV2)
+{
+    SystemConfig cfg = sampledFixtureConfig("spb");
+    cfg.sample.checkpointPath = tmpPath("v1.ckpt");
+    // Only the magic matters: the loader reads nothing past it.
+    expectCraftedFileIsRewritten(cfg, [](const std::string &path) {
+        std::FILE *f = std::fopen(path.c_str(), "rb+");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite("SPBSMP01", 1, 8, f), 8u);
+        ASSERT_EQ(std::fclose(f), 0);
+    });
+}
+
+TEST(SampleCheckpoint, ReplayPastTheWritersAdaptiveStopMatchesLive)
+{
+    // With ci=, the at-commit writer stops measuring before the SPB
+    // replay does; the writer keeps recording deltas past its stop, and
+    // each must stay relative to the previous recorded window.
+    auto config = [](const char *strategy) {
+        SystemConfig cfg = sampledFixtureConfig(strategy);
+        cfg.sbSize = 14;
+        cfg.maxUopsPerCore = 60'000;
+        cfg.sample = SampleSpec::parse(
+            "interval=5000,window=1000,warmup=500,ci=2,min=2");
+        return cfg;
+    };
+    const std::string ckpt = tmpPath("adaptive.ckpt");
+    std::remove(ckpt.c_str());
+
+    SystemConfig writer = config("at-commit");
+    writer.sample.checkpointPath = ckpt;
+    sample::SampleRunInfo write_info;
+    const SimResult wrote = runOne(writer, &write_info);
+    ASSERT_TRUE(write_info.wroteCheckpoint);
+
+    SystemConfig spb = config("spb");
+    const SimResult live = runOne(spb);
+    spb.sample.checkpointPath = ckpt;
+    sample::SampleRunInfo replay_info;
+    const SimResult replayed = runOne(spb, &replay_info);
+    EXPECT_TRUE(replay_info.fromCheckpoint);
+
+    EXPECT_LT(wrote.sample.get("windows"), live.sample.get("windows"))
+        << "the SPB run must measure windows the writer only recorded";
+    EXPECT_EQ(resultFingerprint(live), resultFingerprint(replayed));
+    std::remove(ckpt.c_str());
+}
+
 /** Every serialized field of @p w, in declaration order. */
 std::vector<std::uint64_t>
-fieldsOf(const sample::WindowSnapshot &w)
+fieldsOf(const sample::WindowDelta &w)
 {
     std::vector<std::uint64_t> v{w.startUop};
-    for (const CacheTagSnapshot *c : {&w.l1, &w.l2, &w.l3}) {
+    for (const CacheTagDelta *c : {&w.l1, &w.l2, &w.l3}) {
         v.push_back(c->lruClock);
-        for (const CacheTagSnapshot::Frame &fr : c->frames)
+        for (const CacheTagDelta::Frame &fr : c->frames)
             v.insert(v.end(), {fr.index, fr.tag,
                                static_cast<std::uint64_t>(fr.state),
                                fr.lastTouch});
@@ -554,11 +715,12 @@ TEST(SampleCheckpoint, SaveLoadRoundTripsEveryField)
     auto u64 = [&k] { ++k; return (k << 40) | k; };
     auto u32 = [&k] { return static_cast<std::uint32_t>(++k); };
     auto u8 = [&k] { return static_cast<std::uint8_t>(++k); };
-    sample::WindowSnapshot w;
+    sample::WindowDelta w;
     w.startUop = u64();
-    for (CacheTagSnapshot *c : {&w.l1, &w.l2, &w.l3}) {
+    for (CacheTagDelta *c : {&w.l1, &w.l2, &w.l3}) {
         c->lruClock = u64();
-        for (int i = 1; i <= 2; ++i)
+        // An Invalid frame too: deltas carry evictions.
+        for (int i = 0; i <= 2; ++i)
             c->frames.push_back(
                 {u32(), u64(), static_cast<CohState>(i), u64()});
     }
@@ -586,8 +748,11 @@ TEST(SampleCheckpoint, SaveLoadRoundTripsEveryField)
     const std::string path = tmpPath("fields.ckpt");
     out.save(path);
 
+    // Table I geometry: every index above fits its array.
+    const WarmImage image(MemSystemParams::tableI(), TlbParams{},
+                          SpbParams{});
     sample::Checkpoint in;
-    ASSERT_TRUE(sample::Checkpoint::load(path, out.identity, in));
+    ASSERT_TRUE(sample::Checkpoint::load(path, out.identity, image, in));
     EXPECT_EQ(in.warmedUops, out.warmedUops);
     ASSERT_EQ(in.windows.size(), 1u);
     EXPECT_EQ(fieldsOf(in.windows[0]), fieldsOf(w));
