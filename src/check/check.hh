@@ -76,8 +76,9 @@ class CheckViolation : public std::runtime_error
 
 /**
  * RAII scope turning check violations into CheckViolation throws on the
- * current thread instead of aborting the process. The mutation tests
- * use this to assert that a seeded bug is reported.
+ * current thread instead of aborting the process. The experiment engine
+ * holds one around every job, so a violation fails that job alone; the
+ * mutation tests use one to assert that a seeded bug is reported.
  */
 class ThrowGuard
 {

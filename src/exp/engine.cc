@@ -1,14 +1,15 @@
 #include "exp/engine.hh"
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
-#include <fstream>
+#include <cstring>
 #include <mutex>
 #include <set>
-#include <sys/wait.h>
 #include <unistd.h>
 #include <unordered_map>
 
+#include "check/check.hh"
 #include "common/logging.hh"
 #include "exp/task_pool.hh"
 
@@ -55,11 +56,15 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/** Append-only, mutex-guarded JSONL sink with per-line flush. */
+/**
+ * Append-only, mutex-guarded JSONL sink with per-line flush. A worker
+ * must not exit the process, so the first write error is only kept;
+ * check() makes it fatal once the pool has drained.
+ */
 class JsonlSink
 {
   public:
-    JsonlSink(const std::string &path, bool append)
+    JsonlSink(const std::string &path, bool append) : path_(path)
     {
         if (path.empty())
             return;
@@ -80,14 +85,28 @@ class JsonlSink
         if (!file_)
             return;
         std::lock_guard<std::mutex> lock(mutex_);
-        std::fwrite(line.data(), 1, line.size(), file_);
-        std::fputc('\n', file_);
-        std::fflush(file_); // the checkpoint: a kill loses nothing
+        const bool ok =
+            std::fwrite(line.data(), 1, line.size(), file_) == line.size() &&
+            std::fputc('\n', file_) != EOF &&
+            std::fflush(file_) == 0; // the checkpoint: a kill loses nothing
+        if (!ok && writeErrno_ == 0)
+            writeErrno_ = errno != 0 ? errno : EIO;
+    }
+
+    /** Fatal if any write failed; call with no writer left running. */
+    void
+    check() const
+    {
+        if (writeErrno_ != 0)
+            SPB_FATAL("cannot write result sink '%s': %s", path_.c_str(),
+                      std::strerror(writeErrno_));
     }
 
   private:
+    const std::string path_;
     std::FILE *file_ = nullptr;
     std::mutex mutex_;
+    int writeErrno_ = 0; //!< errno of the first failed write
 };
 
 /** Serialised live progress/ETA line on stderr. */
@@ -138,13 +157,16 @@ class ProgressLine
     std::mutex mutex_;
 };
 
-/** One attempt at one job; throws on timeout / fatal / livelock. */
+/** Run one job; throws on timeout, fatal, livelock or a violated
+ *  invariant. */
 SimResult
 attemptJob(const SystemConfig &config, double timeout_seconds)
 {
-    // Fatal configuration errors become catchable FatalError on this
-    // thread only, so one bad grid point cannot kill the sweep.
-    FatalThrowGuard guard;
+    // Fatal configuration errors and simcheck violations become
+    // catchable exceptions on this thread only, so one bad grid point
+    // cannot kill the sweep.
+    FatalThrowGuard fatal_guard;
+    check::ThrowGuard check_guard;
     System system(config);
     if (timeout_seconds <= 0.0)
         return system.run();
@@ -152,102 +174,6 @@ attemptJob(const SystemConfig &config, double timeout_seconds)
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(timeout_seconds));
     return system.run([deadline] { return Clock::now() >= deadline; });
-}
-
-std::string
-shardPath(const std::string &base, unsigned shard)
-{
-    return base + ".shard" + std::to_string(shard);
-}
-
-/**
- * Fork one child per shard, deal the pending jobs round-robin (in job
- * order, so the assignment is independent of any host schedule), merge
- * the children's private JSONL files into the parent sink verbatim,
- * and reconstruct the outcomes from the merged records.
- */
-void
-runSharded(const std::vector<Job> &jobs,
-           const std::vector<std::size_t> &pending,
-           const EngineOptions &options, ExperimentReport &report)
-{
-    const unsigned shards = static_cast<unsigned>(
-        std::min<std::size_t>(options.shards, pending.size()));
-    std::string base = options.jsonlPath;
-    if (base.empty())
-        base = "/tmp/spburst-exp-" + std::to_string(getpid());
-
-    std::vector<pid_t> pids(shards, -1);
-    for (unsigned s = 0; s < shards; ++s) {
-        const pid_t pid = fork();
-        if (pid < 0)
-            SPB_FATAL("fork failed for shard %u", s);
-        if (pid == 0) {
-            // Child: run this shard's slice against a private sink.
-            // _exit skips parent-side cleanup; the sink flushes per
-            // line, so nothing is buffered when we get here.
-            std::vector<Job> slice;
-            for (std::size_t p = s; p < pending.size(); p += shards)
-                slice.push_back(jobs[pending[p]]);
-            EngineOptions child = options;
-            child.shards = 1;
-            child.resume = false;
-            child.jsonlPath = shardPath(base, s);
-            child.progress = false;
-            const ExperimentReport r = runJobs(slice, child);
-            std::fflush(nullptr);
-            _exit(r.failed() == 0 ? 0 : 1);
-        }
-        pids[s] = pid;
-    }
-    for (unsigned s = 0; s < shards; ++s) {
-        int status = 0;
-        if (waitpid(pids[s], &status, 0) < 0)
-            SPB_FATAL("waitpid failed for shard %u", s);
-        // A non-zero exit only means some jobs failed; the per-job
-        // detail comes from which records are missing below.
-    }
-
-    // Harvest every shard file: parsed stats for the report, raw lines
-    // for byte-identical pass-through into the main sink.
-    std::unordered_map<std::string, StatSet> stats;
-    std::unordered_map<std::string, std::string> lines;
-    for (unsigned s = 0; s < shards; ++s) {
-        const std::string path = shardPath(base, s);
-        std::vector<JsonlRecord> records = parseJsonlFile(path);
-        std::vector<std::string> raw;
-        std::ifstream in(path);
-        for (std::string line; std::getline(in, line);)
-            if (!line.empty())
-                raw.push_back(std::move(line));
-        // parseJsonlFile skips malformed lines, so records and raw can
-        // only disagree after a torn write; map conservatively by
-        // matching counts.
-        if (records.size() == raw.size()) {
-            for (std::size_t i = 0; i < records.size(); ++i)
-                lines.emplace(records[i].job, std::move(raw[i]));
-        }
-        for (JsonlRecord &rec : records)
-            stats.emplace(std::move(rec.job), std::move(rec.stats));
-        std::remove(path.c_str());
-    }
-
-    JsonlSink sink(options.jsonlPath, options.resume);
-    for (const std::size_t j : pending) {
-        JobOutcome &out = report.outcomes[j];
-        const auto it = stats.find(out.key);
-        if (it == stats.end()) {
-            out.status = JobStatus::Failed;
-            out.error = "shard produced no result (child failed)";
-            continue;
-        }
-        out.status = JobStatus::Completed;
-        out.stats = std::move(it->second);
-        out.attempts = 1;
-        const auto line = lines.find(out.key);
-        if (line != lines.end())
-            sink.write(line->second);
-    }
 }
 
 } // namespace
@@ -279,8 +205,6 @@ runJobs(const std::vector<Job> &jobs, const EngineOptions &options)
             if (!keys.insert(job.key).second)
                 SPB_FATAL("duplicate job key '%s'", job.key.c_str());
     }
-    const unsigned max_attempts =
-        options.maxAttempts == 0 ? 1 : options.maxAttempts;
 
     ExperimentReport report;
     report.hostThreads = options.hostThreads == 0 ? hostConcurrency()
@@ -312,12 +236,6 @@ runJobs(const std::vector<Job> &jobs, const EngineOptions &options)
     }
 
     const auto start = Clock::now();
-    if (options.shards > 1 && !pending.empty()) {
-        runSharded(jobs, pending, options, report);
-        report.wallSeconds = secondsSince(start);
-        return report;
-    }
-
     JsonlSink sink(options.jsonlPath, options.resume);
     ProgressLine progress(options.progress, jobs.size(),
                           jobs.size() - pending.size());
@@ -327,25 +245,18 @@ runJobs(const std::vector<Job> &jobs, const EngineOptions &options)
         const Job &job = jobs[pending[p]];
         JobOutcome &out = report.outcomes[pending[p]];
         const auto job_start = Clock::now();
-        for (out.attempts = 1;; ++out.attempts) {
-            try {
-                out.result = attemptJob(job.config,
-                                        options.timeoutSeconds);
-                out.stats = out.result.toStatSet();
-                out.status = JobStatus::Completed;
-                out.error.clear();
-                break;
-            } catch (const SimInterrupted &e) {
-                out.error = std::string("timeout: ") + e.what();
-                if (out.attempts < max_attempts)
-                    continue;
-            } catch (const FatalError &e) {
-                out.error = std::string("fatal: ") + e.what();
-            } catch (const std::exception &e) {
-                out.error = e.what();
-            }
-            out.status = JobStatus::Failed;
-            break;
+        try {
+            out.result = attemptJob(job.config, options.timeoutSeconds);
+            out.stats = out.result.toStatSet();
+            out.status = JobStatus::Completed;
+        } catch (const SimInterrupted &e) {
+            out.error = std::string("timeout: ") + e.what();
+        } catch (const FatalError &e) {
+            out.error = std::string("fatal: ") + e.what();
+        } catch (const check::CheckViolation &e) {
+            out.error = std::string("check: ") + e.what();
+        } catch (const std::exception &e) {
+            out.error = e.what();
         }
         out.wallSeconds = secondsSince(job_start);
         if (out.status == JobStatus::Completed)
@@ -354,6 +265,7 @@ runJobs(const std::vector<Job> &jobs, const EngineOptions &options)
     });
 
     progress.finish();
+    sink.check();
     report.wallSeconds = secondsSince(start);
     return report;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * The experiment engine: runs a set of independent simulation Jobs on
- * a work-stealing host-thread pool.
+ * a pool of host threads.
  *
  *  - Determinism: each job's outcome depends only on its SystemConfig
  *    (the simulator has no cross-run state), so results are
@@ -14,13 +14,13 @@
  *    appear in the sink are not re-run; their stats are loaded back
  *    and the new completions are appended, so the finished file equals
  *    (as a set of lines) the file an uninterrupted run produces.
- *  - Robustness: a per-attempt wall-clock timeout interrupts runaway
- *    configurations. A timed-out job is retried up to maxAttempts
- *    times, because only a timeout depends on the host; any other
- *    failure (fatal config error, cycle-limit livelock guard) follows
- *    from the config alone and fails the job at once. Either way the
- *    failure is reported in the outcome instead of killing the
- *    process.
+ *  - Robustness: a per-job wall-clock timeout interrupts runaway
+ *    configurations. A timeout, a fatal config error, the cycle-limit
+ *    livelock guard and a violated simcheck invariant each fail their
+ *    job at once; the failure is reported in the outcome instead of
+ *    killing the process. Only completed jobs reach the sink, so a
+ *    resumed run re-runs every failed one. A write to the sink that
+ *    fails is fatal once the running jobs have finished.
  */
 
 #pragma once
@@ -41,7 +41,7 @@ enum class JobStatus
 {
     Completed, //!< ran in this invocation; result + stats valid
     Resumed,   //!< loaded from the sink; stats valid, result is not
-    Failed,    //!< every attempt failed; error holds the last reason
+    Failed,    //!< did not complete; error says why
 };
 
 /** Everything the engine knows about one finished job. */
@@ -51,8 +51,7 @@ struct JobOutcome
     JobStatus status = JobStatus::Failed;
     SimResult result;   //!< valid only when status == Completed
     StatSet stats;      //!< flat stats; valid unless status == Failed
-    std::string error;  //!< last failure reason (Failed only)
-    unsigned attempts = 0;
+    std::string error;  //!< failure reason (Failed only)
     double wallSeconds = 0.0;
 };
 
@@ -61,27 +60,12 @@ struct EngineOptions
 {
     /** Host threads; 0 = all hardware threads, 1 = run inline. */
     unsigned hostThreads = 0;
-    /**
-     * Fork-based process sharding; 1 = run everything in this process.
-     * With N > 1 the pending jobs are dealt round-robin (in job order)
-     * to N forked children, each running its slice on its own
-     * hostThreads pool and checkpointing to a private
-     * `<jsonlPath>.shard<k>` file. The parent waits, merges the shard
-     * files into jsonlPath verbatim (lines are byte-identical to an
-     * unsharded run; order is job order) and deletes them. In the
-     * parent's outcomes, `result` is not populated (it lives in the
-     * shard process); `stats` is. A job missing from its shard's file
-     * (child crash) is reported Failed.
-     */
-    unsigned shards = 1;
     /** JSONL checkpoint/result file; empty = no sink. */
     std::string jsonlPath;
     /** Skip jobs already present in the sink (implies append mode). */
     bool resume = false;
-    /** Per-attempt wall-clock timeout in seconds; 0 = none. */
+    /** Per-job wall-clock timeout in seconds; 0 = none. */
     double timeoutSeconds = 0.0;
-    /** Attempts per timed-out job before reporting Failed (>= 1). */
-    unsigned maxAttempts = 1;
     /** Emit a live "[done/total] ... eta" line to stderr. */
     bool progress = false;
 };

@@ -43,17 +43,6 @@ configKey(const SystemConfig &cfg)
     return key;
 }
 
-std::uint64_t
-mixSeed(std::uint64_t base, std::uint64_t jobIndex)
-{
-    // splitmix64 over (base, index); any schedule-independent mix
-    // with good avalanche would do.
-    std::uint64_t z = base + 0x9e3779b97f4a7c15ULL * (jobIndex + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 std::vector<Job>
 ExperimentSpec::expand() const
 {
@@ -83,8 +72,6 @@ ExperimentSpec::expand() const
             for (std::size_t a = 0; a < axes.size(); ++a)
                 configOption(axes[a].name)
                     .parse(cfg, axes[a].values[digits[a]]);
-            if (perJobSeeds)
-                cfg.seed = mixSeed(base.seed, jobs.size());
             jobs.push_back(Job{configKey(cfg), std::move(cfg)});
         }
     }

@@ -7,15 +7,13 @@
  * prefetchers, core presets, ...). expand() materialises the Cartesian
  * product into independent Jobs, each carrying a fully resolved
  * SystemConfig and a unique, schedule-independent key. Everything a
- * job will compute is fixed at expansion time — per-job seeds are
- * derived from the job's position in the grid, never from which host
- * thread happens to run it — so results are bit-identical regardless
- * of thread count or schedule.
+ * job will compute is fixed at expansion time — a seed is one more
+ * axis, never derived from which host thread happens to run a job —
+ * so results are bit-identical regardless of thread count or schedule.
  */
 
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -30,9 +28,6 @@ namespace spburst::exp
  * job key, the memoization key and the JSONL "job" field.
  */
 std::string configKey(const SystemConfig &cfg);
-
-/** Deterministic per-job seed: splitmix64 mix of base seed and index. */
-std::uint64_t mixSeed(std::uint64_t base, std::uint64_t jobIndex);
 
 /** One independent unit of work: a keyed, fully resolved config. */
 struct Job
@@ -59,9 +54,6 @@ struct ExperimentSpec
     std::vector<std::string> workloads;
     /** Further axes, applied left to right. */
     std::vector<Axis> axes;
-    /** Derive cfg.seed = mixSeed(base.seed, jobIndex) per job, for
-     *  sweeps that want independent sampling noise per grid point. */
-    bool perJobSeeds = false;
 
     /**
      * Materialise the grid, workloads outermost, later axes innermost.

@@ -1,6 +1,6 @@
 #include "exp/task_pool.hh"
 
-#include <deque>
+#include <atomic>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -15,40 +15,6 @@ hostConcurrency()
     const unsigned n = std::thread::hardware_concurrency();
     return n == 0 ? 1 : n;
 }
-
-namespace
-{
-
-/** One worker's deque of pending job indices. */
-struct WorkDeque
-{
-    std::mutex mutex;
-    std::deque<std::size_t> jobs;
-
-    bool
-    popFront(std::size_t &out)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (jobs.empty())
-            return false;
-        out = jobs.front();
-        jobs.pop_front();
-        return true;
-    }
-
-    bool
-    stealBack(std::size_t &out)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (jobs.empty())
-            return false;
-        out = jobs.back();
-        jobs.pop_back();
-        return true;
-    }
-};
-
-} // namespace
 
 void
 parallelFor(unsigned threads, std::size_t count,
@@ -67,23 +33,14 @@ parallelFor(unsigned threads, std::size_t count,
         return;
     }
 
-    std::vector<WorkDeque> deques(threads);
-    for (std::size_t i = 0; i < count; ++i)
-        deques[i % threads].jobs.push_back(i);
-
+    std::atomic<std::size_t> next{0};
     std::mutex error_mutex;
     std::exception_ptr first_error;
 
-    auto worker = [&](unsigned self) {
-        std::size_t job = 0;
-        for (;;) {
-            bool found = deques[self].popFront(job);
-            for (unsigned v = 1; !found && v < threads; ++v)
-                found = deques[(self + v) % threads].stealBack(job);
-            if (!found)
-                return;
+    auto worker = [&] {
+        for (std::size_t i = next++; i < count; i = next++) {
             try {
-                body(job);
+                body(i);
             } catch (...) {
                 std::lock_guard<std::mutex> lock(error_mutex);
                 if (!first_error)
@@ -95,8 +52,8 @@ parallelFor(unsigned threads, std::size_t count,
     std::vector<std::thread> pool;
     pool.reserve(threads - 1);
     for (unsigned t = 1; t < threads; ++t)
-        pool.emplace_back(worker, t);
-    worker(0);
+        pool.emplace_back(worker);
+    worker();
     for (auto &t : pool)
         t.join();
 

@@ -1,13 +1,12 @@
 /**
  * @file
- * Work-stealing host-thread pool for coarse-grained simulation jobs.
+ * Host-thread pool for coarse-grained simulation jobs.
  *
- * The unit of work is an index into a fixed job set. Indices are dealt
- * round-robin into one deque per worker; each worker pops from the
- * front of its own deque and, when that runs dry, steals from the back
- * of a victim's. Jobs are milliseconds-to-minutes of simulation, so
- * mutex-guarded deques are entirely sufficient — the scheduler's cost
- * is noise next to one cache miss model step.
+ * The unit of work is an index into a fixed job set. Workers take the
+ * next index from one shared atomic counter until it passes the end.
+ * Jobs are milliseconds-to-minutes of simulation, so taking them in
+ * order is all the scheduling they need — the counter's cost is noise
+ * next to one cache miss model step.
  */
 
 #pragma once

@@ -7,8 +7,8 @@
  * once per job per replay pass (the ROI loop reopens the file). This
  * cache decompresses each compressed trace ONCE into a cache file of
  * raw 64-byte records and serves every later open from a read-only
- * `mmap` of that file — concurrent jobs, forked `--shards=` children
- * and repeated sweeps all share it through the filesystem.
+ * `mmap` of that file — concurrent jobs and repeated sweeps all share
+ * it through the filesystem.
  *
  *  - Keying: the cache entry is named by the FNV-1a 64-bit hash of the
  *    compressed file's bytes, so a replaced or re-downloaded trace
@@ -20,8 +20,8 @@
  *    records.
  *  - Publication: builders write a private `*.tmp.<pid>.<n>` file and
  *    `rename(2)` it into place, so readers only ever see complete
- *    entries and racing builders (parallel jobs, shard children) are
- *    benign — last rename wins with identical content.
+ *    entries and racing builders (parallel jobs, separate processes)
+ *    are benign — last rename wins with identical content.
  *  - Validation: every open re-checks magic, version, record size,
  *    source hash/size and the payload length. A corrupt or
  *    version-mismatched entry is rebuilt from the source; if that

@@ -1,8 +1,9 @@
 /**
  * @file
- * Unit tests for the experiment engine: spec expansion, the
- * work-stealing pool, thread-count determinism, checkpoint/resume,
- * timeout/retry and fatal-error containment.
+ * Unit tests for the experiment engine: spec expansion, the host
+ * thread pool, thread-count determinism, checkpoint/resume, and
+ * containment of timeouts, fatal errors, check violations and sink
+ * write errors.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "check/check.hh"
 #include "exp/engine.hh"
 #include "exp/spec.hh"
 #include "exp/task_pool.hh"
@@ -81,29 +83,6 @@ TEST(Spec, ExpandIsTheFullGridInWorkloadMajorOrder)
     }
 }
 
-TEST(Spec, PerJobSeedsAreDistinctAndScheduleIndependent)
-{
-    exp::ExperimentSpec spec = smallSpec();
-    spec.perJobSeeds = true;
-    const auto jobs = spec.expand();
-    std::set<std::uint64_t> seeds;
-    for (const auto &job : jobs)
-        seeds.insert(job.config.seed);
-    EXPECT_EQ(seeds.size(), jobs.size());
-    // Expansion is pure: same spec, same seeds.
-    const auto again = spec.expand();
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        EXPECT_EQ(jobs[i].config.seed, again[i].config.seed);
-    EXPECT_EQ(jobs[0].config.seed, exp::mixSeed(spec.base.seed, 0));
-}
-
-TEST(Spec, MixSeedAvalanches)
-{
-    EXPECT_NE(exp::mixSeed(1, 0), exp::mixSeed(1, 1));
-    EXPECT_NE(exp::mixSeed(1, 0), exp::mixSeed(2, 0));
-    EXPECT_EQ(exp::mixSeed(7, 3), exp::mixSeed(7, 3));
-}
-
 TEST(SpecDeathTest, DuplicateVariantsAreFatal)
 {
     exp::ExperimentSpec spec = smallSpec();
@@ -149,7 +128,6 @@ TEST(Engine, OutcomesComeBackInJobOrder)
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_EQ(report.outcomes[i].key, jobs[i].key);
         EXPECT_EQ(report.outcomes[i].status, exp::JobStatus::Completed);
-        EXPECT_EQ(report.outcomes[i].attempts, 1u);
     }
     EXPECT_EQ(report.completed(), jobs.size());
     EXPECT_NE(report.find(jobs[3].key), nullptr);
@@ -181,46 +159,10 @@ TEST(Engine, ResultsAreIdenticalForAnyThreadCount)
     }
 }
 
-TEST(Engine, ShardedRunsProduceByteIdenticalSortedResults)
-{
-    const auto jobs = smallSpec().expand();
-
-    std::vector<std::string> reference;
-    for (unsigned shards : {1u, 3u, 4u}) {
-        const std::string path =
-            tmpPath("shards_" + std::to_string(shards) + ".jsonl");
-        std::remove(path.c_str());
-        exp::EngineOptions options;
-        options.hostThreads = 2;
-        options.shards = shards;
-        options.jsonlPath = path;
-        const auto report = exp::runJobs(jobs, options);
-        EXPECT_EQ(report.completed(), jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            EXPECT_EQ(report.outcomes[i].key, jobs[i].key);
-            EXPECT_TRUE(report.outcomes[i].stats.has("cycles"))
-                << jobs[i].key;
-        }
-
-        const auto lines = sortedLines(path);
-        ASSERT_EQ(lines.size(), jobs.size());
-        if (reference.empty())
-            reference = lines;
-        else
-            EXPECT_EQ(lines, reference) << "shards=" << shards;
-        // No shard file may survive the merge.
-        for (unsigned s = 0; s < shards; ++s) {
-            std::ifstream leftover(path + ".shard" + std::to_string(s));
-            EXPECT_FALSE(leftover.good()) << "shard " << s;
-        }
-        std::remove(path.c_str());
-    }
-}
-
 // The Fig. 16 orthogonality grid: every prefetcher variant must run
 // deterministically whatever the host parallelism, and every cell with
 // a prefetcher must export the unified pf.<name>.* stats block.
-TEST(Engine, PrefetcherGridIsDeterministicAcrossThreadsAndShards)
+TEST(Engine, PrefetcherGridIsDeterministicAcrossThreads)
 {
     exp::ExperimentSpec spec;
     spec.name = "pfgrid";
@@ -234,16 +176,12 @@ TEST(Engine, PrefetcherGridIsDeterministicAcrossThreadsAndShards)
     ASSERT_EQ(jobs.size(), 10u);
 
     std::vector<std::string> reference;
-    const std::pair<unsigned, unsigned> grids[] = {
-        {1, 1}, {8, 1}, {1, 4}, {8, 4}};
-    for (const auto &[threads, shards] : grids) {
+    for (unsigned threads : {1u, 8u}) {
         const std::string path =
-            tmpPath("pfgrid_" + std::to_string(threads) + "_" +
-                    std::to_string(shards) + ".jsonl");
+            tmpPath("pfgrid_" + std::to_string(threads) + ".jsonl");
         std::remove(path.c_str());
         exp::EngineOptions options;
         options.hostThreads = threads;
-        options.shards = shards;
         options.jsonlPath = path;
         const auto report = exp::runJobs(jobs, options);
         ASSERT_EQ(report.completed(), jobs.size());
@@ -270,8 +208,7 @@ TEST(Engine, PrefetcherGridIsDeterministicAcrossThreadsAndShards)
         if (reference.empty())
             reference = lines;
         else
-            EXPECT_EQ(lines, reference)
-                << "threads=" << threads << " shards=" << shards;
+            EXPECT_EQ(lines, reference) << "threads=" << threads;
         std::remove(path.c_str());
     }
 }
@@ -322,7 +259,7 @@ TEST(Engine, ResumeSkipsDoneJobsAndReproducesTheFullFile)
     std::remove(half.c_str());
 }
 
-TEST(Engine, TimeoutFailsTheJobAfterBoundedRetries)
+TEST(Engine, TimeoutFailsTheJob)
 {
     exp::ExperimentSpec spec = smallSpec(2'000'000'000ULL);
     spec.workloads = {"x264"};
@@ -333,31 +270,12 @@ TEST(Engine, TimeoutFailsTheJobAfterBoundedRetries)
     exp::EngineOptions options;
     options.hostThreads = 1;
     options.timeoutSeconds = 0.05;
-    options.maxAttempts = 2;
     const auto report = exp::runJobs(jobs, options);
     ASSERT_EQ(report.outcomes.size(), 1u);
     const auto &out = report.outcomes[0];
     EXPECT_EQ(out.status, exp::JobStatus::Failed);
-    EXPECT_EQ(out.attempts, 2u);
-    EXPECT_NE(out.error.find("timeout"), std::string::npos) << out.error;
+    EXPECT_EQ(out.error.rfind("timeout: ", 0), 0u) << out.error;
     EXPECT_EQ(report.failed(), 1u);
-}
-
-TEST(Engine, FatalErrorIsNotRetried)
-{
-    // Only a timeout depends on the host; a fatal error follows from
-    // the config alone, so another attempt would fail the same way.
-    SystemConfig bad = smallSpec().expand()[0].config;
-    bad.workload = "no-such-workload";
-    exp::EngineOptions options;
-    options.maxAttempts = 3;
-    const auto report =
-        exp::runJobs({exp::Job{exp::configKey(bad), bad}}, options);
-    ASSERT_EQ(report.outcomes.size(), 1u);
-    EXPECT_EQ(report.outcomes[0].status, exp::JobStatus::Failed);
-    EXPECT_EQ(report.outcomes[0].attempts, 1u);
-    EXPECT_NE(report.outcomes[0].error.find("fatal:"), std::string::npos)
-        << report.outcomes[0].error;
 }
 
 TEST(Engine, FatalConfigErrorFailsOneJobNotTheProcess)
@@ -372,9 +290,39 @@ TEST(Engine, FatalConfigErrorFailsOneJobNotTheProcess)
     EXPECT_EQ(report.completed(), jobs.size() - 1);
     const auto &out = report.outcomes.back();
     EXPECT_EQ(out.status, exp::JobStatus::Failed);
+    EXPECT_EQ(out.error.rfind("fatal: ", 0), 0u) << out.error;
     EXPECT_NE(out.error.find("unknown workload profile"),
               std::string::npos)
         << out.error;
+}
+
+// A violated simcheck invariant fails its job, as a fatal config error
+// does, and the job next to it completes. The trigger is an open SWMR
+// auditor failure on 4-core blackscholes ("core 1 holds block
+// 0x700000003f40 in E/M but the directory records owner -1"); once the
+// multicore ownership race behind it is fixed, give this test a job
+// that still violates a check.
+TEST(Engine, CheckViolationFailsOneJobNotTheProcess)
+{
+    SystemConfig good = makeConfig("x264", 56, StorePrefetchPolicy::AtCommit);
+    good.maxUopsPerCore = 2'000;
+    SystemConfig bad =
+        makeConfig("blackscholes", 14, StorePrefetchPolicy::AtCommit);
+    bad.threads = 4;
+    bad.maxUopsPerCore = 10'000;
+    const std::vector<exp::Job> jobs{exp::Job{exp::configKey(good), good},
+                                     exp::Job{exp::configKey(bad), bad}};
+
+    const check::Level saved = check::level();
+    check::setLevel(check::Level::Full);
+    const auto report = exp::runJobs(jobs, {});
+    check::setLevel(saved);
+
+    ASSERT_EQ(report.outcomes.size(), 2u);
+    EXPECT_EQ(report.outcomes[0].status, exp::JobStatus::Completed);
+    const auto &out = report.outcomes[1];
+    EXPECT_EQ(out.status, exp::JobStatus::Failed);
+    EXPECT_EQ(out.error.rfind("check: ", 0), 0u) << out.error;
 }
 
 TEST(Engine, BadCoreCountAndSpbIntervalFailOnlyTheirJobs)
@@ -417,6 +365,21 @@ TEST(EngineDeathTest, DuplicateJobKeysAreFatal)
     jobs.push_back(jobs.front());
     EXPECT_EXIT(exp::runJobs(jobs, {}), testing::ExitedWithCode(1),
                 "duplicate job key");
+}
+
+TEST(EngineDeathTest, UnwritableSinkFailsTheRun)
+{
+    // /dev/full accepts the open and fails every flush with ENOSPC: the
+    // run must not report success with nothing written.
+    exp::ExperimentSpec spec = smallSpec(2'000);
+    spec.workloads = {"x264"};
+    spec.axes.clear();
+    exp::EngineOptions options;
+    options.hostThreads = 1;
+    options.jsonlPath = "/dev/full";
+    EXPECT_EXIT(exp::runJobs(spec.expand(), options),
+                testing::ExitedWithCode(1),
+                "cannot write result sink '/dev/full'");
 }
 
 } // namespace

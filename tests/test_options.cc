@@ -183,10 +183,9 @@ TEST(SweepCli, HelpListsEveryRow)
 {
     expectHelpLists(SPBURST_SWEEP_BIN,
                     {"workload", "trace", "sb", "strategy", "spb-n", "l1pf",
-                     "core", "threads", "uops", "seed", "sample", "check",
-                     "per-job-seeds", "jobs", "shards", "out", "resume",
-                     "timeout-s", "retries", "dry-run", "no-summary",
-                     "quiet"});
+                     "core", "seed", "threads", "uops", "sample", "check",
+                     "jobs", "out", "resume", "timeout-s", "dry-run",
+                     "no-summary", "quiet"});
 }
 
 TEST(SweepCli, MalformedValuesFailBeforeAnyJob)
@@ -196,11 +195,10 @@ TEST(SweepCli, MalformedValuesFailBeforeAnyJob)
                 {{"--sb=14,abc", "sb"},
                  {"--spb-n=8,x", "spb-n"},
                  {"--threads=-1", "threads"},
-                 {"--retries=-1", "retries"},
+                 {"--seed=1,x", "seed"},
                  {"--timeout-s=abc", "timeout-s"},
                  {"--timeout-s=1e309", "timeout-s"},
                  {"--timeout-s=nan", "timeout-s"},
-                 {"--shards=abc", "shards"},
                  {"--strategy=spb,SPB", "strategy"},
                  {"--core=SKL,skl", "core"}});
 }
@@ -217,6 +215,28 @@ TEST(SweepCli, DryRunPrintsTheRecordedKeys)
                              "skylake|m2:8\n";
     EXPECT_EQ(out, "x264|sb14" + tail + "x264|sb56" + tail + "mcf|sb14" +
                        tail + "mcf|sb56" + tail + "# 4 jobs\n");
+}
+
+TEST(SweepCli, SeedIsAGridAxis)
+{
+    const auto [code, out] = runTool(std::string(SPBURST_SWEEP_BIN) +
+                                     " --dry-run --workload=x264"
+                                     " --seed=1,7");
+    EXPECT_EQ(code, 0);
+    const std::string head = "x264|sb56|p2|spb0:48:0:0|i0|c0|pf1|t1|s";
+    const std::string tail = "|u100000|skylake|m2:8\n";
+    EXPECT_EQ(out, head + "1" + tail + head + "7" + tail + "# 2 jobs\n");
+}
+
+TEST(SweepCli, RemovedOptionsAreUnknown)
+{
+    for (const char *arg : {"--shards=2", "--retries=1", "--per-job-seeds"}) {
+        const auto [code, out] = runTool(std::string(SPBURST_SWEEP_BIN) +
+                                         " --dry-run --workload=x264 " + arg);
+        EXPECT_EQ(code, 1) << arg << "\n" << out;
+        EXPECT_NE(out.find("unknown spburst_sweep option"), std::string::npos)
+            << arg << "\n" << out;
+    }
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 /**
  * @file
  * `spburst_sweep` — declarative design-space sweeps on the experiment
- * engine: a (workload × SB × strategy × N × prefetcher × core) grid
- * expands into independent jobs that run on a work-stealing host
- * thread pool, checkpoint each completed job to a JSONL file, and
- * resume an interrupted sweep without redoing finished work.
+ * engine: a (workload × SB × strategy × N × prefetcher × core × seed)
+ * grid expands into independent jobs that run on a pool of host
+ * threads, checkpoint each completed job to a JSONL file, and resume
+ * an interrupted sweep without redoing finished work.
  *
  *   spburst_sweep --workload=sb-bound --sb=14,28,56 \
  *       --strategy=at-commit,spb,ideal --out=sweep.jsonl --jobs=8
@@ -42,41 +42,33 @@ main(int argc, char **argv)
                                    {"strategy", {"at-commit"}},
                                    {"spb-n", {}},
                                    {"l1pf", {}},
-                                   {"core", {}}};
+                                   {"core", {}},
+                                   {"seed", {}}};
     exp::EngineOptions engine;
-    unsigned retries = 0;
     bool dry_run = false, quiet = false, no_summary = false;
 
     exp::CommandLine cli(
         "spburst_sweep",
         "spburst_sweep — parallel, checkpointed configuration sweeps\n"
         "(--workload and/or --trace required; the comma lists of\n"
-        "--workload, --sb, --strategy, --spb-n, --l1pf and --core are\n"
-        "grid axes; defaults: --sb=56 --strategy=at-commit --uops=100000)");
+        "--workload, --sb, --strategy, --spb-n, --l1pf, --core and\n"
+        "--seed are grid axes; defaults: --sb=56 --strategy=at-commit\n"
+        "--uops=100000)");
     cli.workloads("workload", spec.workloads);
     cli.workloads("trace", traces);
     for (exp::Axis &axis : axes)
         cli.axis(axis.name, axis.values);
-    for (const char *row : {"threads", "uops", "seed", "sample", "check"})
+    for (const char *row : {"threads", "uops", "sample", "check"})
         cli.config(row, spec.base);
-    cli.flag("per-job-seeds", "derive a distinct seed per grid point",
-             spec.perJobSeeds);
     cli.count("jobs", "host threads (0 = all hardware; default)",
               engine.hostThreads, 0, 4096);
-    cli.count("shards",
-              "fork N worker processes; each runs a\n"
-              "round-robin slice of the grid with its\n"
-              "own --jobs pool and the parent merges\n"
-              "the per-shard JSONL files (default 1)",
-              engine.shards, 1, 4096);
     cli.option("out", "FILE", "JSONL result sink (checkpointed)",
                [&engine](std::string_view v) { engine.jsonlPath = v; });
     cli.flag("resume", "skip jobs already present in --out", engine.resume);
-    cli.option("timeout-s", "S", "per-attempt wall-clock timeout",
+    cli.option("timeout-s", "S", "per-job wall-clock timeout",
                [&engine](std::string_view v) {
                    engine.timeoutSeconds = exp::parseReal(v);
                });
-    cli.count("retries", "extra attempts per timed-out job", retries, 0, 1000);
     cli.flag("dry-run", "print the job list and exit", dry_run);
     cli.flag("no-summary", "skip the final summary table", no_summary);
     cli.flag("quiet", "no live progress line", quiet);
@@ -98,7 +90,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    engine.maxAttempts = 1 + retries;
     engine.progress = !quiet && isatty(fileno(stderr));
 
     const exp::ExperimentReport report = exp::runJobs(jobs, engine);
