@@ -5,9 +5,9 @@
  * A lint run loads every requested file into a FileContext (tokens,
  * comments, suppressions, directory category), then builds two
  * project-wide indices in a first pass — a TypeIndex of
- * unordered-container declarations and a StatIndex of StatSet name
- * literals — and finally runs each Rule over each file. Rules are pure:
- * they read the project and append Findings.
+ * unordered-container declarations and a DeclIndex of classes,
+ * function bodies and the call graph — and finally runs each Rule over
+ * each file. Rules are pure: they read the project and append Findings.
  */
 
 #pragma once
@@ -92,20 +92,6 @@ struct TypeIndex
         varClassByStem;
 };
 
-/** Project-wide StatSet name knowledge for the stat-name rule. */
-struct StatIndex
-{
-    std::set<std::string> exactDefs;        //!< set("literal")
-    std::set<std::string> defPrefixWildcards; //!< set("lit" + dynamic)
-    std::set<std::string> exactMergePrefixes; //!< merge("lit.", ...)
-    std::set<std::string> dynMergeLeads;      //!< merge("lit" + dyn, ...)
-
-    bool sawAnyDef() const
-    {
-        return !exactDefs.empty() || !defPrefixWildcards.empty();
-    }
-};
-
 /** One non-static data member of an indexed class. */
 struct MemberDecl
 {
@@ -174,7 +160,6 @@ struct Project
 {
     std::vector<std::unique_ptr<FileContext>> files;
     TypeIndex types;
-    StatIndex stats;
     DeclIndex decls;
 };
 

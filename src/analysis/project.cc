@@ -297,70 +297,6 @@ indexClassVars(const FileContext &file, TypeIndex &types)
     }
 }
 
-/** Pass C: StatSet name literals (definitions via set/merge). */
-void
-indexStatNames(const FileContext &file, StatIndex &stats)
-{
-    const std::vector<Token> &toks = file.lex.tokens;
-    for (std::size_t i = 2; i + 1 < toks.size(); ++i) {
-        if (!(isPunct(toks[i - 1], ".") || isPunct(toks[i - 1], "->")))
-            continue;
-        const bool isSet = isIdent(toks[i], "set");
-        const bool isMerge = isIdent(toks[i], "merge");
-        if (!isSet && !isMerge)
-            continue;
-        if (!isPunct(toks[i + 1], "("))
-            continue;
-        const std::size_t close = matchClose(toks, i + 1);
-        if (close >= toks.size())
-            continue;
-        const auto args = splitArgs(toks, i + 1, close);
-        if (args.empty() || args[0].second <= args[0].first)
-            continue;
-        // Classify the first argument: a pure literal (one or more
-        // adjacent string tokens) defines an exact name; a literal
-        // followed by dynamic suffix defines a wildcard prefix.
-        std::string lit;
-        bool sawString = false;
-        bool pure = true;
-        bool dynamicFirst = false;
-        for (std::size_t k = args[0].first; k < args[0].second; ++k) {
-            if (toks[k].kind == TokKind::String) {
-                if (pure)
-                    lit += stringValue(toks[k]);
-                sawString = true;
-            } else if (isPunct(toks[k], "(") || isPunct(toks[k], ")")) {
-                continue; // parenthesised literal
-            } else if (!sawString &&
-                       (isIdent(toks[k], "std") ||
-                        isPunct(toks[k], "::") ||
-                        isIdent(toks[k], "string") ||
-                        isIdent(toks[k], "string_view"))) {
-                continue; // std::string("lit") wrapper
-            } else {
-                pure = false;
-                if (sawString)
-                    break; // "lit" + dynamic: keep the leading literal
-                dynamicFirst = true;
-                break; // dynamic + "lit": no leading-literal knowledge
-            }
-        }
-        if (!sawString || dynamicFirst)
-            continue; // no usable leading literal
-        if (isSet) {
-            if (pure)
-                stats.exactDefs.insert(lit);
-            else
-                stats.defPrefixWildcards.insert(lit);
-        } else {
-            if (pure)
-                stats.exactMergePrefixes.insert(lit);
-            else
-                stats.dynMergeLeads.insert(lit);
-        }
-    }
-}
-
 } // namespace
 
 std::unique_ptr<FileContext>
@@ -387,13 +323,10 @@ void
 buildIndices(Project &project)
 {
     project.types = TypeIndex{};
-    project.stats = StatIndex{};
     for (const auto &file : project.files)
         indexUnorderedDecls(*file, project.types);
     for (const auto &file : project.files)
         indexClassVars(*file, project.types);
-    for (const auto &file : project.files)
-        indexStatNames(*file, project.stats);
     buildDeclIndex(project);
 }
 

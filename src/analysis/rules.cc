@@ -2,8 +2,8 @@
  * @file
  * The spburst-lint rule catalogue.
  *
- * Five rules, each guarding one of the repo's standing invariants (see
- * DESIGN.md "Static analysis & determinism rules"):
+ * Three token-level rules, each guarding one of the repo's standing
+ * invariants (see DESIGN.md "Static analysis & determinism rules"):
  *
  *  - nondeterminism:        no host clocks / host randomness in
  *                           result-affecting directories.
@@ -14,17 +14,10 @@
  *                           use explicit captures, never reference
  *                           captures, and never raw pointers to pooled
  *                           (recycled) slots.
- *  - callback-inline-size:  scheduled captures must fit
- *                           EventQueue::Callback's inline buffer; a
- *                           silent heap fallback per event is a
- *                           hot-path regression.
- *  - stat-name:             StatSet::get/has string literals must be
- *                           producible by some set()/merge() literal.
  */
 
-#include <array>
 #include <cstddef>
-#include <map>
+#include <set>
 #include <string>
 
 #include "analysis/model.hh"
@@ -294,7 +287,7 @@ class UnorderedIterationRule final : public Rule
 };
 
 // ---------------------------------------------------------------------
-// Scheduled-lambda extraction shared by the two callback rules
+// Scheduled-lambda extraction for the callback-capture rule
 // ---------------------------------------------------------------------
 
 /** One parsed capture-list entry of a lambda passed to schedule(). */
@@ -496,167 +489,6 @@ class CallbackCaptureRule final : public Rule
     }
 };
 
-// ---------------------------------------------------------------------
-// Rule: callback-inline-size
-// ---------------------------------------------------------------------
-
-class CallbackInlineSizeRule final : public Rule
-{
-  public:
-    RuleInfo
-    info() const override
-    {
-        return {"callback-inline-size",
-                "captures of a scheduled callback must fit "
-                "EventQueue::Callback's inline buffer; oversized "
-                "captures silently heap-allocate on every schedule"};
-    }
-
-    void
-    check(const Project &, const FileContext &file,
-          std::vector<Finding> &out) const override
-    {
-        // Must track EventQueue::Callback in
-        // src/common/event_queue.hh (SmallFunction<void(), 112>).
-        constexpr std::size_t kInlineBytes = 112;
-        // Estimated sizeof for capture-size accounting, matching
-        // SmallFunction's pointer-aligned inline layout (buffer +
-        // vtable pointer). Pointers, references, this, and scalars
-        // count 8; unknown types count 8 (under-approximate: the rule
-        // only fires when the *known* captures already overflow).
-        static const std::map<std::string_view, std::size_t> sizeOf = {
-            {"FillCallback", 80}, {"MemCallback", 56},
-            {"Callback", 120},    {"MshrTarget", 96},
-            {"MemRequest", 24},   {"string", 32},
-            {"vector", 24},       {"function", 32},
-            {"deque", 80},        {"shared_ptr", 16},
-        };
-        for (const ScheduledLambda &lam : scheduledLambdas(file)) {
-            std::size_t total = 0;
-            bool unknownDefaults = false;
-            std::string breakdown;
-            for (const CaptureEntry &e : lam.captures) {
-                if (e.kind == CaptureEntry::Kind::DefaultRef ||
-                    e.kind == CaptureEntry::Kind::DefaultCopy) {
-                    unknownDefaults = true;
-                    continue;
-                }
-                std::size_t sz = 8;
-                if (e.kind == CaptureEntry::Kind::Copy && !e.pointer) {
-                    const auto it = sizeOf.find(e.type);
-                    if (it != sizeOf.end())
-                        sz = it->second;
-                }
-                total += sz;
-                if (!breakdown.empty())
-                    breakdown += " + ";
-                breakdown +=
-                    (e.name.empty() ? std::string("this") : e.name) +
-                    ":" + std::to_string(sz);
-            }
-            if (!unknownDefaults && total > kInlineBytes) {
-                add(out, info().id, file, *lam.at,
-                    "estimated capture size " + std::to_string(total) +
-                        " bytes (" + breakdown + ") exceeds the " +
-                        std::to_string(kInlineBytes) +
-                        "-byte inline buffer of EventQueue::Callback: "
-                        "this callback heap-allocates on every "
-                        "schedule; shrink the captures or justify with "
-                        "a suppression if the path is cold");
-            }
-        }
-    }
-};
-
-// ---------------------------------------------------------------------
-// Rule: stat-name
-// ---------------------------------------------------------------------
-
-class StatNameRule final : public Rule
-{
-  public:
-    RuleInfo
-    info() const override
-    {
-        return {"stat-name",
-                "StatSet::get/has literals must be producible from "
-                "some set()/merge() literal — a typo'd key is a lint "
-                "error, not a silently-missing column"};
-    }
-
-    void
-    check(const Project &project, const FileContext &file,
-          std::vector<Finding> &out) const override
-    {
-        if (!project.stats.sawAnyDef())
-            return; // single-file run with no definitions in sight
-        const std::vector<Token> &toks = file.lex.tokens;
-        for (std::size_t i = 2; i + 1 < toks.size(); ++i) {
-            if (!(isPunct(toks[i - 1], ".") || isPunct(toks[i - 1], "->")))
-                continue;
-            if (!(isIdent(toks[i], "get") || isIdent(toks[i], "has")))
-                continue;
-            if (!isPunct(toks[i + 1], "("))
-                continue;
-            const std::size_t close = matchClose(toks, i + 1);
-            if (close >= toks.size())
-                continue;
-            const auto args = splitArgs(toks, i + 1, close);
-            if (args.empty())
-                continue;
-            const auto [aFirst, aLast] = args[0];
-            // Only pure literal arguments are checkable.
-            std::string name;
-            bool pure = aLast > aFirst;
-            for (std::size_t k = aFirst; k < aLast; ++k) {
-                if (toks[k].kind == TokKind::String)
-                    name += stringValue(toks[k]);
-                else
-                    pure = false;
-            }
-            if (!pure || name.empty())
-                continue;
-            if (!matches(project.stats, name, 0)) {
-                add(out, info().id, file, toks[i],
-                    "stat name \"" + name +
-                        "\" is never produced by any StatSet::set() / "
-                        "merge() literal in the analyzed files: a typo "
-                        "here reads as a missing or zero column");
-            }
-        }
-    }
-
-  private:
-    static bool
-    matches(const StatIndex &stats, const std::string &name, int depth)
-    {
-        if (depth > 6)
-            return true; // give up permissively on deep prefix chains
-        if (contains(stats.exactDefs, name))
-            return true;
-        for (const std::string &w : stats.defPrefixWildcards) {
-            if (name.compare(0, w.size(), w) == 0)
-                return true;
-        }
-        for (const std::string &p : stats.exactMergePrefixes) {
-            if (name.size() > p.size() &&
-                name.compare(0, p.size(), p) == 0 &&
-                matches(stats, name.substr(p.size()), depth + 1))
-                return true;
-        }
-        for (const std::string &d : stats.dynMergeLeads) {
-            if (name.compare(0, d.size(), d) != 0)
-                continue;
-            for (std::size_t i = d.size(); i < name.size(); ++i) {
-                if (name[i] == '.' &&
-                    matches(stats, name.substr(i + 1), depth + 1))
-                    return true;
-            }
-        }
-        return false;
-    }
-};
-
 } // namespace
 
 const std::vector<const Rule *> &
@@ -665,10 +497,8 @@ allRules()
     static const NondeterminismRule r1;
     static const UnorderedIterationRule r2;
     static const CallbackCaptureRule r3;
-    static const CallbackInlineSizeRule r4;
-    static const StatNameRule r5;
     static const std::vector<const Rule *> rules = [] {
-        std::vector<const Rule *> v = {&r1, &r2, &r3, &r4, &r5};
+        std::vector<const Rule *> v = {&r1, &r2, &r3};
         for (const Rule *r : semanticRules())
             v.push_back(r);
         return v;

@@ -13,7 +13,7 @@
  *                         runs silently diverge from detailed runs.
  *  - stat-hot-path:       string-keyed StatSet calls reachable from a
  *                         hot-annotated root re-hash the key on every
- *                         access; demand an interned StatHandle.
+ *                         access; count in the module's stats struct.
  *  - hot-alloc:           new / make_unique / make_shared and
  *                         push_back without a reserve() in hot
  *                         functions.
@@ -164,8 +164,9 @@ class StatHotPathRule final : public Rule
     {
         return {"stat-hot-path",
                 "string-keyed StatSet accesses reachable from a "
-                "hot-annotated root re-hash the key every call; intern "
-                "a StatHandle once and use it"};
+                "hot-annotated root re-hash the key every call; count "
+                "in a plain integer member of the module's stats "
+                "struct"};
     }
 
     void
@@ -212,16 +213,16 @@ class StatHotPathRule final : public Rule
                 const auto args = splitArgs(toks, i + 1, close);
                 if (args.empty() ||
                     toks[args[0].first].kind != TokKind::String)
-                    continue; // handle-keyed or dynamic: fine
+                    continue; // dynamic key: fine
                 add(out, info().id, file, toks[i],
                     "string-keyed StatSet::" + std::string(toks[i].text) +
                         "(" + std::string(toks[args[0].first].text) +
                         ", ...) on a hot path (reachable from hot root '" +
                         fn.hotVia +
-                        "'): every call re-resolves the name; intern a "
-                        "StatHandle once at construction "
-                        "(StatSet::intern) and index with the handle "
-                        "here");
+                        "'): every call re-resolves the name; count in "
+                        "a plain integer member of the module's stats "
+                        "struct and export it when the report is "
+                        "assembled (toStatSet)");
             }
         }
     }

@@ -67,19 +67,6 @@ matchTemplateClose(const std::vector<Token> &toks, std::size_t open)
     return toks.size();
 }
 
-/** Literal value of a string token (quotes and prefixes stripped; no
- *  escape processing — stat names and rule lists never use escapes). */
-inline std::string
-stringValue(const Token &t)
-{
-    std::string_view s = t.text;
-    const std::size_t open = s.find('"');
-    const std::size_t close = s.rfind('"');
-    if (open == std::string_view::npos || close <= open)
-        return std::string(s);
-    return std::string(s.substr(open + 1, close - open - 1));
-}
-
 /** Split the argument list of the call whose '(' is at @p open into
  *  top-level comma-separated token ranges [first, last). */
 inline std::vector<std::pair<std::size_t, std::size_t>>

@@ -7,12 +7,12 @@
  * Every simulated cache miss used to allocate several `std::function`
  * control blocks (the completion callback, its wrapper at each level,
  * and the event-queue record holding it). SmallFunction stores the
- * callable inline when it fits in `InlineBytes` and only falls back to
- * the heap for oversized captures, so the steady-state simulation loop
- * performs no callback allocations at all. It is move-only — callers
- * that used to copy a `std::function` into a lambda capture must
- * `std::move` it instead, which is also what keeps accidental
- * double-invocation bugs visible.
+ * callable inline and nowhere else: a callable that does not fit
+ * `InlineBytes` is a compile error, so the simulation loop performs no
+ * callback allocations at all and the compiler checks every capture.
+ * It is move-only — callers that used to copy a `std::function` into a
+ * lambda capture must `std::move` it instead, which is also what keeps
+ * accidental double-invocation bugs visible.
  */
 
 #pragma once
@@ -41,11 +41,8 @@ class SmallFunction<R(Args...), InlineBytes>
     /** Inline-storage alignment. Pointer alignment (not max_align_t):
      *  event/memory callbacks capture pointers, integers, and nested
      *  SmallFunctions, never over-aligned types — and max_align_t
-     *  padding used to inflate every nested callback capture by 16+
-     *  bytes (e.g. FillCallback was 96 bytes instead of 80, pushing
-     *  the interconnect hop wrapper past EventQueue::Callback's inline
-     *  buffer and onto the heap on every hop). Over-aligned callables
-     *  simply take the heap path via the constructor guard below. */
+     *  padding would inflate every nested callback capture by 16+
+     *  bytes (FillCallback would be 96 bytes instead of 80). */
     static constexpr std::size_t kInlineAlign = alignof(void *);
 
     template <typename F,
@@ -55,14 +52,13 @@ class SmallFunction<R(Args...), InlineBytes>
     SmallFunction(F &&f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= InlineBytes &&
-                      alignof(Fn) <= kInlineAlign) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
-            ops_ = &inlineOps<Fn>;
-        } else {
-            *reinterpret_cast<Fn **>(buf_) = new Fn(std::forward<F>(f));
-            ops_ = &heapOps<Fn>;
-        }
+        static_assert(sizeof(Fn) <= InlineBytes &&
+                          alignof(Fn) <= kInlineAlign,
+                      "callable does not fit SmallFunction's inline "
+                      "buffer: capture less, or park the state and "
+                      "capture an index");
+        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
+        ops_ = &inlineOps<Fn>;
     }
 
     SmallFunction(SmallFunction &&other) noexcept
@@ -118,21 +114,6 @@ class SmallFunction<R(Args...), InlineBytes>
         },
         [](void *buf) noexcept {
             std::launder(reinterpret_cast<Fn *>(buf))->~Fn();
-        },
-    };
-
-    template <typename Fn>
-    static constexpr Ops heapOps = {
-        [](void *buf, Args... args) -> R {
-            return (**std::launder(reinterpret_cast<Fn **>(buf)))(
-                std::forward<Args>(args)...);
-        },
-        [](void *dst, void *src) noexcept {
-            *reinterpret_cast<Fn **>(dst) =
-                *std::launder(reinterpret_cast<Fn **>(src));
-        },
-        [](void *buf) noexcept {
-            delete *std::launder(reinterpret_cast<Fn **>(buf));
         },
     };
 

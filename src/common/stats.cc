@@ -49,53 +49,6 @@ StatSet::add(std::string_view name, double delta)
     set(name, delta);
 }
 
-StatHandle
-StatSet::intern(std::string_view name)
-{
-    auto it = index_.find(name);
-    if (it == index_.end()) {
-        set(name, 0.0);
-        it = index_.find(name);
-    }
-    return StatHandle(it->second);
-}
-
-void
-StatSet::set(StatHandle handle, double value)
-{
-    SPB_ASSERT(handle.index_ < entries_.size(),
-               "stale or foreign StatHandle (index %zu of %zu)",
-               handle.index_, entries_.size());
-    entries_[handle.index_].second = value;
-}
-
-double
-StatSet::get(StatHandle handle) const
-{
-    SPB_ASSERT(handle.index_ < entries_.size(),
-               "stale or foreign StatHandle (index %zu of %zu)",
-               handle.index_, entries_.size());
-    return entries_[handle.index_].second;
-}
-
-void
-StatSet::add(StatHandle handle, double delta)
-{
-    SPB_ASSERT(handle.index_ < entries_.size(),
-               "stale or foreign StatHandle (index %zu of %zu)",
-               handle.index_, entries_.size());
-    entries_[handle.index_].second += delta;
-}
-
-const std::string &
-StatSet::name(StatHandle handle) const
-{
-    SPB_ASSERT(handle.index_ < entries_.size(),
-               "stale or foreign StatHandle (index %zu of %zu)",
-               handle.index_, entries_.size());
-    return entries_[handle.index_].first;
-}
-
 void
 StatSet::merge(const std::string &prefix, const StatSet &other)
 {

@@ -20,30 +20,6 @@
 namespace spburst
 {
 
-/**
- * Stable handle to one StatSet entry, produced by StatSet::intern().
- *
- * Hot paths that update a statistic repeatedly should intern the name
- * once (outside the loop / at construction) and use the handle
- * overloads: handle access is a vector index, with no map lookup and
- * no string hashing per update. spburst-lint's `stat-hot-path` rule
- * flags string-keyed accessors inside `hot`-annotated functions.
- */
-class StatHandle
-{
-  public:
-    StatHandle() = default;
-
-    bool valid() const { return index_ != kInvalid; }
-
-  private:
-    friend class StatSet;
-    explicit StatHandle(std::size_t index) : index_(index) {}
-
-    static constexpr std::size_t kInvalid = ~std::size_t{0};
-    std::size_t index_ = kInvalid;
-};
-
 /** An ordered collection of named scalar statistics. */
 class StatSet
 {
@@ -59,25 +35,6 @@ class StatSet
 
     /** Increment a named value (creating it at 0 first if absent). */
     void add(std::string_view name, double delta);
-
-    /**
-     * Intern @p name: ensure an entry exists (initialised to 0.0 when
-     * new) and return a handle for O(1) string-free access to it. The
-     * handle stays valid for the lifetime of this StatSet.
-     */
-    StatHandle intern(std::string_view name);
-
-    /** Overwrite the entry behind @p handle. */
-    void set(StatHandle handle, double value);
-
-    /** Read the entry behind @p handle. */
-    double get(StatHandle handle) const;
-
-    /** Increment the entry behind @p handle. */
-    void add(StatHandle handle, double delta);
-
-    /** Name of the entry behind @p handle (reporting/debugging). */
-    const std::string &name(StatHandle handle) const;
 
     /** All entries in insertion order. */
     const std::vector<std::pair<std::string, double>> &entries() const

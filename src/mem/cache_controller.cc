@@ -2,7 +2,7 @@
 
 #include "check/check.hh"
 #include "common/logging.hh"
-#include "mem/coherence_hub.hh"
+#include "mem/directory.hh"
 
 namespace spburst
 {
@@ -88,15 +88,16 @@ CacheController::request(const MemRequest &req_in, FillCallback done)
 
     // Shared level: consult the directory before anything else.
     Cycle extra = 0;
-    bool hub_grant = true;
-    if (hub_)
-        extra = hub_->resolve(req, hub_grant);
+    bool dir_grant = true;
+    if (directory_)
+        extra = directory_->resolve(req, dir_grant);
 
     CacheBlk *blk = tags_.find(req.blockAddr);
-    // At the shared level the hub has already reclaimed ownership from
-    // remote cores, so a data hit always satisfies ownership requests.
+    // At the shared level the directory has already reclaimed ownership
+    // from remote cores, so a data hit always satisfies ownership
+    // requests.
     const bool satisfied =
-        blk && (!wants_own || hub_ || hasOwnership(blk->state));
+        blk && (!wants_own || directory_ || hasOwnership(blk->state));
 
     // Non-L1 prefetchers (e.g. the FDP/BOP/DSPatch L2 prefetchers)
     // train on the demand stream arriving from the level above, and get
@@ -117,7 +118,7 @@ CacheController::request(const MemRequest &req_in, FillCallback done)
             blk->prefetchUsed = true;
         ++stats_.dataAccesses;
         const bool grant =
-            wants_own || (hub_ ? hub_grant : hasOwnership(blk->state));
+            wants_own || (directory_ ? dir_grant : hasOwnership(blk->state));
         if (done) {
             clock_->events.schedule(
                 clock_->now + params_.hitLatency + extra,
@@ -157,9 +158,8 @@ CacheController::request(const MemRequest &req_in, FillCallback done)
         ++stats_.mshrDemandRetries;
         clock_->events.schedule(
             clock_->now + 1,
-            // spburst-lint: allow(callback-inline-size) -- MSHR-full replay path, off the steady-state hot path
-            [this, req, t = std::move(target)]() mutable {
-                request(req, std::move(t.done));
+            [this, req, done = std::move(target.done)]() mutable {
+                request(req, std::move(done));
             });
         return;
     }
@@ -167,7 +167,7 @@ CacheController::request(const MemRequest &req_in, FillCallback done)
     count_miss();
     MshrEntry *entry = mshr_.allocate(req.blockAddr, req.cmd, clock_->now);
     entry->extraLatency = extra;
-    entry->sharedGrant = hub_grant;
+    entry->sharedGrant = dir_grant;
     entry->targets.push_back(std::move(target));
     forwardMiss(req);
 }
@@ -207,7 +207,7 @@ CacheController::handleFill(Addr block_addr, bool ownership)
     if (invalidated || downgraded)
         ownership = false;
     const bool shared_grant =
-        hub_ ? entry->sharedGrant : ownership;
+        directory_ ? entry->sharedGrant : ownership;
     // Swap rather than move: the entry inherits the scratch vector's
     // capacity for its next miss, and no vector is deallocated here.
     // handleFill cannot re-enter itself (completions are scheduled, and
@@ -271,8 +271,8 @@ CacheController::completeTarget(MshrTarget &target, bool ownership,
 {
     if (!target.done)
         return;
-    // The hub's remote-probe latency (shared level only) delays every
-    // waiter on this fill.
+    // The directory's remote-probe latency (shared level only) delays
+    // every waiter on this fill.
     clock_->events.schedule(clock_->now + delay,
                             [done = std::move(target.done),
                              ownership]() mutable { done(ownership); });
@@ -326,8 +326,8 @@ CacheController::evictFrame(CacheBlk &frame)
         ++stats_.writebacksOut;
         below_->writeback(frame.tag, core_);
     }
-    if (hub_)
-        hub_->evicted(frame.tag);
+    if (directory_)
+        directory_->evicted(frame.tag);
     frame.state = CohState::Invalid;
 }
 

@@ -31,7 +31,7 @@
 namespace spburst
 {
 
-class CoherenceHub;
+class DirectoryController;
 
 /** Configuration of one cache level. */
 struct CacheParams
@@ -139,8 +139,8 @@ class CacheController : public MemLevel
     /** Attach the L1 cache prefetcher (L1D only). */
     void setPrefetcher(PrefetcherIface *pf) { prefetcher_ = pf; }
 
-    /** Attach the shared-level coherence hub (shared L3 only). */
-    void setCoherenceHub(CoherenceHub *hub) { hub_ = hub; }
+    /** Attach the MESI directory (shared L3 of a multicore system). */
+    void setDirectory(DirectoryController *dir) { directory_ = dir; }
 
     /**
      * Called when this level evicts a valid block, so the system can
@@ -217,7 +217,7 @@ class CacheController : public MemLevel
     SetAssocCache tags_;
     MshrFile mshr_;
     PrefetcherIface *prefetcher_ = nullptr;
-    CoherenceHub *hub_ = nullptr;
+    DirectoryController *directory_ = nullptr;
     std::function<bool(Addr)> backInvalidate_;
 
     std::deque<QueuedPrefetch> prefetchQueue_;

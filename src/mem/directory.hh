@@ -21,7 +21,7 @@
 
 #include "common/types.hh"
 #include "mem/cache_controller.hh"
-#include "mem/coherence_hub.hh"
+#include "mem/request.hh"
 
 namespace spburst
 {
@@ -45,7 +45,7 @@ struct DirectoryStats
 };
 
 /** MESI directory attached to the shared L3. */
-class DirectoryController : public CoherenceHub
+class DirectoryController
 {
   public:
     explicit DirectoryController(Cycle remote_latency);
@@ -53,9 +53,23 @@ class DirectoryController : public CoherenceHub
     /** Register one core's private hierarchy (in core-id order). */
     void addCore(const CorePorts &ports);
 
+    /**
+     * Resolve coherence for a request about to be satisfied at the
+     * shared level: invalidate or downgrade remote private copies and
+     * update the directory.
+     *
+     * @param req The request (core + command).
+     * @param[out] grant_ownership For reads: true if the block may be
+     *             returned Exclusive (no other sharer). Ownership
+     *             requests always end up granted.
+     * @return Extra cycles of latency (remote probes) to charge.
+     */
     // spburst-lint: hot
-    Cycle resolve(const MemRequest &req, bool &grant_ownership) override;
-    void evicted(Addr block_addr) override;
+    Cycle resolve(const MemRequest &req, bool &grant_ownership);
+
+    /** The shared level evicted this block (inclusion enforcement has
+     *  already invalidated private copies). */
+    void evicted(Addr block_addr);
 
     const DirectoryStats &stats() const { return stats_; }
 

@@ -1,13 +1,13 @@
 /**
  * @file
  * Point-to-point interconnect hop between cache levels: a fixed
- * one-way latency plus message counting (the "network traffic" the
- * paper tracks when quantifying SPB's overhead).
+ * one-way latency in each direction.
  */
 
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/clock.hh"
 #include "mem/level.hh"
@@ -15,7 +15,7 @@
 namespace spburst
 {
 
-/** Latency + accounting wrapper around the level below. */
+/** Latency wrapper around the level below. */
 class Interconnect : public MemLevel
 {
   public:
@@ -29,17 +29,22 @@ class Interconnect : public MemLevel
     void request(const MemRequest &req, FillCallback done) override;
     void writeback(Addr block_addr, int core) override;
 
-    std::uint64_t requestMessages() const { return requestMessages_; }
-    std::uint64_t responseMessages() const { return responseMessages_; }
-    std::uint64_t writebackMessages() const { return writebackMessages_; }
-
   private:
+    /** Store @p done in a free slot and return the slot's index. */
+    std::uint32_t park(FillCallback done);
+
+    /** Take the callback out of @p slot and free the slot. */
+    FillCallback unpark(std::uint32_t slot);
+
     MemLevel *below_;
     Cycle oneWay_;
     SimClock *clock_;
-    std::uint64_t requestMessages_ = 0;
-    std::uint64_t responseMessages_ = 0;
-    std::uint64_t writebackMessages_ = 0;
+    /** Completions of requests still on the far side. A FillCallback
+     *  cannot capture another one, so the wrapper handed below captures
+     *  a slot index instead. The level above bounds the requests in
+     *  flight (its MSHRs), so the vector stops growing at that size. */
+    std::vector<FillCallback> parked_;
+    std::vector<std::uint32_t> freeSlots_;
 };
 
 } // namespace spburst

@@ -31,7 +31,7 @@ MemorySystem::MemorySystem(const MemSystemParams &params, SimClock *clock)
 
     if (params_.cores > 1) {
         dir_ = std::make_unique<DirectoryController>(params_.remoteLatency);
-        l3_->setCoherenceHub(dir_.get());
+        l3_->setDirectory(dir_.get());
     }
 
     for (int c = 0; c < params_.cores; ++c) {

@@ -63,9 +63,6 @@ class MemorySystem
     /** MESI directory; nullptr on single-core systems. */
     DirectoryController *directory() { return dir_.get(); }
 
-    /** L2<->L3 interconnect of one core (traffic accounting). */
-    const Interconnect &l2ToL3(int core) const { return *icn_.at(core); }
-
     int cores() const { return params_.cores; }
 
     /** The hierarchy's SWMR / MSHR auditor (always present; the SWMR

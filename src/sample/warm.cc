@@ -18,7 +18,6 @@ WarmImage::fillLevel(int level, Addr block, CohState state)
     SetAssocCache &c = level == 1 ? l1_ : level == 2 ? l2_ : l3_;
     CacheBlk &frame = c.victim(block);
     if (isValid(frame.state)) {
-        ++stats_.evictions;
         // Inclusive hierarchy: a victim leaving a lower level takes its
         // upper-level copies with it (the detailed machine's
         // back-invalidate chain does the same).
@@ -35,17 +34,12 @@ WarmImage::fillLevel(int level, Addr block, CohState state)
 void
 WarmImage::apply(const MicroOp &op)
 {
-    ++stats_.uops;
     if (!isMemOp(op.cls))
         return;
 
     tlb_.access(op.addr);
     const Addr block = blockAlign(op.addr);
     const bool is_store = op.cls == OpClass::Store;
-    if (is_store)
-        ++stats_.stores;
-    else
-        ++stats_.loads;
 
     CacheBlk *blk1 = l1_.find(block);
     if (blk1 != nullptr) {
@@ -56,17 +50,14 @@ WarmImage::apply(const MicroOp &op)
             blk1->state = CohState::Modified;
         return;
     }
-    ++stats_.l1Misses;
     CacheBlk *blk2 = l2_.find(block);
     if (blk2 != nullptr) {
         l2_.touch(*blk2);
     } else {
-        ++stats_.l2Misses;
         CacheBlk *blk3 = l3_.find(block);
         if (blk3 != nullptr) {
             l3_.touch(*blk3);
         } else {
-            ++stats_.l3Misses;
             // Memory always grants ownership on a single-core system.
             fillLevel(3, block, CohState::Exclusive);
         }

@@ -43,18 +43,6 @@
 namespace spburst::sample
 {
 
-/** Host-side counters describing functional-warming activity. */
-struct WarmStats
-{
-    std::uint64_t uops = 0;
-    std::uint64_t loads = 0;
-    std::uint64_t stores = 0;
-    std::uint64_t l1Misses = 0;
-    std::uint64_t l2Misses = 0;
-    std::uint64_t l3Misses = 0;
-    std::uint64_t evictions = 0;
-};
-
 /** What an architectural checkpoint stores per detailed window: the
  *  cache frames warming changed since the previous window's delta,
  *  the whole TLB and SPB detector, and the recorded uop stream the
@@ -99,7 +87,6 @@ class WarmImage
     const SetAssocCache &l3() const { return l3_; }
     const Tlb &tlb() const { return tlb_; }
     const SpbDetector &detector() const { return detector_; }
-    const WarmStats &stats() const { return stats_; }
 
   private:
     /** Install @p block at one level, maintaining inclusion by
@@ -111,7 +98,6 @@ class WarmImage
     SetAssocCache l3_;
     Tlb tlb_;
     SpbDetector detector_;
-    WarmStats stats_;
 };
 
 /**

@@ -168,39 +168,6 @@ TEST(Stats, StatSetAddByName)
     EXPECT_EQ(s.entries().size(), 1u);
 }
 
-TEST(Stats, StatSetInternedHandles)
-{
-    StatSet s;
-    s.set("before", 7.0);
-    const StatHandle h = s.intern("bursts");
-    EXPECT_TRUE(h.valid());
-    EXPECT_FALSE(StatHandle{}.valid());
-    EXPECT_DOUBLE_EQ(s.get(h), 0.0); // new entry initialised to zero
-    EXPECT_EQ(s.name(h), "bursts");
-
-    s.add(h, 2.0);
-    s.add(h, 3.0);
-    EXPECT_DOUBLE_EQ(s.get(h), 5.0);
-    EXPECT_DOUBLE_EQ(s.get("bursts"), 5.0); // same entry as by-name
-
-    s.set(h, 1.5);
-    EXPECT_DOUBLE_EQ(s.get("bursts"), 1.5);
-
-    // Interning an existing name returns a handle to the old entry
-    // and does not disturb insertion order.
-    const StatHandle hb = s.intern("before");
-    EXPECT_DOUBLE_EQ(s.get(hb), 7.0);
-    EXPECT_EQ(s.entries().size(), 2u);
-    EXPECT_EQ(s.entries()[0].first, "before");
-    EXPECT_EQ(s.entries()[1].first, "bursts");
-
-    // Handles stay valid as later insertions grow the set.
-    for (int i = 0; i < 100; ++i)
-        s.set("filler" + std::to_string(i), i);
-    s.add(h, 0.5);
-    EXPECT_DOUBLE_EQ(s.get("bursts"), 2.0);
-}
-
 TEST(Stats, StatSetMergePrefixes)
 {
     StatSet inner;

@@ -59,7 +59,7 @@ TEST(Lint, FixtureCorpusTripsEveryRuleAtTheExpectedLines)
 {
     const RunResult result = lintFixtures();
     EXPECT_TRUE(result.errors.empty());
-    EXPECT_EQ(result.filesAnalyzed, 18u);
+    EXPECT_EQ(result.filesAnalyzed, 14u);
 
     const std::set<Key> expected = {
         {"nondeterminism", "src/mem/nondet_bad.cc", 11},       // rand
@@ -74,9 +74,6 @@ TEST(Lint, FixtureCorpusTripsEveryRuleAtTheExpectedLines)
         {"callback-capture", "src/mem/capture_bad.cc", 23},    // [=]
         {"callback-capture", "src/mem/capture_bad.cc", 24},    // [&x]
         {"callback-capture", "src/mem/capture_bad.cc", 26},    // Mshr*
-        {"callback-inline-size", "src/mem/capture_size_bad.cc", 35},
-        {"stat-name", "src/mem/stat_bad.cc", 10},
-        {"stat-name", "src/mem/stat_bad.cc", 11},
         {"unused-suppression", "src/mem/suppress.cc", 14},
         {"snapshot-coverage", "src/mem/snapcov_bad.cc", 15},  // stats_
         {"stat-hot-path", "src/mem/stathot_bad.cc", 15},  // member
@@ -88,7 +85,7 @@ TEST(Lint, FixtureCorpusTripsEveryRuleAtTheExpectedLines)
     };
     EXPECT_EQ(keysOf(result), expected);
     // chrono + steady_clock both flag nondet_bad.cc:13.
-    EXPECT_EQ(result.findings.size(), 24u);
+    EXPECT_EQ(result.findings.size(), 21u);
 }
 
 TEST(Lint, GoodFixturesAndExemptDirsStaySilent)
@@ -126,16 +123,14 @@ TEST(Lint, RuleFilterRestrictsToTheRequestedRule)
     }
 }
 
-TEST(Lint, CatalogueHasTheEightRulesWithUniqueIds)
+TEST(Lint, CatalogueHasTheSixRulesWithUniqueIds)
 {
     std::set<std::string> ids;
     for (const Rule *rule : allRules())
         ids.insert(std::string(rule->info().id));
     const std::set<std::string> expected = {
-        "nondeterminism",   "unordered-iteration",
-        "callback-capture", "callback-inline-size",
-        "stat-name",        "snapshot-coverage",
-        "stat-hot-path",    "hot-alloc",
+        "nondeterminism",    "unordered-iteration", "callback-capture",
+        "snapshot-coverage", "stat-hot-path",       "hot-alloc",
     };
     EXPECT_EQ(ids, expected);
     EXPECT_EQ(allRules().size(), expected.size()); // ids are unique
@@ -195,7 +190,7 @@ TEST(Lint, SarifOutputPassesTheSchemaSmokeTest)
                   std::string::npos)
             << rule->info().id;
     EXPECT_NE(sarif.find("\"startLine\": 11"), std::string::npos);
-    EXPECT_NE(sarif.find("\"ruleId\": \"stat-name\""),
+    EXPECT_NE(sarif.find("\"ruleId\": \"callback-capture\""),
               std::string::npos);
 }
 
@@ -224,8 +219,7 @@ TEST(LintCli, FindingsExitOneAndWriteSarif)
                                     " --sarif=" +
                                     sarifPath);
     EXPECT_EQ(code, 1);
-    EXPECT_NE(out.find("[callback-inline-size]"), std::string::npos)
-        << out;
+    EXPECT_NE(out.find("[callback-capture]"), std::string::npos) << out;
     std::ifstream in(sarifPath);
     ASSERT_TRUE(in.good());
     std::ostringstream sarif;
@@ -248,11 +242,11 @@ TEST(LintCli, CleanInputExitsZero)
 TEST(LintCli, GithubAnnotationsCarryFileLineAndRule)
 {
     const auto [code, out] = runCli(
-        "--github --rule=stat-name --tree=" SPBURST_LINT_FIXTURES);
+        "--github --rule=callback-capture --tree=" SPBURST_LINT_FIXTURES);
     EXPECT_EQ(code, 1);
     EXPECT_NE(
-        out.find("::error file=src/mem/stat_bad.cc,line=10,col=16::"
-                 "[stat-name]"),
+        out.find("::error file=src/mem/capture_bad.cc,line=22,col=31::"
+                 "[callback-capture]"),
         std::string::npos)
         << out;
 }

@@ -4,12 +4,16 @@
  * built on it. ConfigOptions.* walk the table and hold every row to its
  * scope: a Key row must change exp::configKey, a Host row must change
  * neither the key nor any statistic outside check.*. RunCli.* and
- * SweepCli.* drive the built spburst_run and spburst_sweep binaries.
+ * SweepCli.* drive the built spburst_run and spburst_sweep binaries,
+ * including the text reports that read statistics by name (an unknown
+ * name is fatal there).
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <optional>
 #include <set>
@@ -179,6 +183,45 @@ TEST(RunCli, MalformedValuesFailBeforeAnyJob)
                   "sample"}});
 }
 
+/** The number after "NAME": in a flat JSON report (NaN if absent). */
+double
+jsonNumber(const std::string &json, const std::string &name)
+{
+    const std::string field = "\"" + name + "\":";
+    const std::size_t at = json.find(field);
+    if (at == std::string::npos)
+        return std::nan("");
+    return std::strtod(json.c_str() + at + field.size(), nullptr);
+}
+
+TEST(RunCli, SampledTextReportPrintsTheEstimate)
+{
+    // The estimate line reads the sample stats by name; it must print
+    // the values the JSON report carries for the same run.
+    const std::string run = std::string(SPBURST_RUN_BIN) +
+                            " --trace=" SPBURST_CHAMPSIM_FIXTURES
+                            "/fixture.champsim"
+                            " --sample=interval=5000,window=1000,warmup=500";
+    const auto [code, text] = runTool(run);
+    ASSERT_EQ(code, 0) << text;
+    const auto [jcode, json] = runTool(run + " --format=json");
+    ASSERT_EQ(jcode, 0) << json;
+
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  ": sampled %d windows: IPC %.3f +/- %.3f (95%% CI), "
+                  "SB stalls/kuop %.2f +/- %.2f\n",
+                  static_cast<int>(jsonNumber(json, "sample.windows")),
+                  jsonNumber(json, "sample.ipc_mean"),
+                  jsonNumber(json, "sample.ipc_ci95"),
+                  jsonNumber(json, "sample.sb_stall_per_kuop_mean"),
+                  jsonNumber(json, "sample.sb_stall_per_kuop_ci95"));
+    EXPECT_GT(jsonNumber(json, "sample.windows"), 1.0) << json;
+    EXPECT_NE(text.find(line), std::string::npos)
+        << "expected '" << line << "' in\n"
+        << text;
+}
+
 TEST(SweepCli, HelpListsEveryRow)
 {
     expectHelpLists(SPBURST_SWEEP_BIN,
@@ -226,6 +269,57 @@ TEST(SweepCli, SeedIsAGridAxis)
     const std::string head = "x264|sb56|p2|spb0:48:0:0|i0|c0|pf1|t1|s";
     const std::string tail = "|u100000|skylake|m2:8\n";
     EXPECT_EQ(out, head + "1" + tail + head + "7" + tail + "# 2 jobs\n");
+}
+
+/** The cells after the job key in the summary row of the first job
+ *  whose key starts with @p key_prefix (empty if no such row). Cells
+ *  end in " |"; the bars inside a key have no space before them. */
+std::vector<std::string>
+summaryCells(const std::string &out, const std::string &key_prefix)
+{
+    std::vector<std::string> cells;
+    const std::size_t at = out.find("| " + key_prefix);
+    if (at == std::string::npos)
+        return cells;
+    const std::string row = out.substr(at, out.find('\n', at) - at);
+    std::size_t end = row.find(" |"); // end of the key cell
+    while (end != std::string::npos && end + 2 < row.size()) {
+        const std::size_t next = row.find(" |", end + 2);
+        std::string cell = row.substr(end + 2, next - end - 2);
+        cell.erase(0, cell.find_first_not_of(' '));
+        cell.erase(cell.find_last_not_of(' ') + 1);
+        cells.push_back(cell);
+        end = next;
+    }
+    return cells;
+}
+
+TEST(SweepCli, SummaryReadsDoneAndResumedStats)
+{
+    // The summary table reads cycles, IPC and the SB-stall ratio by
+    // name, from the live run (done) and from the JSONL file
+    // (resumed); both rows must print the same values.
+    const std::string out_file =
+        testing::TempDir() + "/spburst_sweep_summary.jsonl";
+    std::remove(out_file.c_str());
+    const std::string sweep = std::string(SPBURST_SWEEP_BIN) +
+                              " --workload=x264 --uops=2000 --out=" +
+                              out_file;
+    const auto [code, first] = runTool(sweep);
+    const auto [rcode, second] = runTool(sweep + " --resume");
+    std::remove(out_file.c_str());
+    ASSERT_EQ(code, 0) << first;
+    ASSERT_EQ(rcode, 0) << second;
+
+    const std::vector<std::string> done = summaryCells(first, "x264|");
+    const std::vector<std::string> resumed = summaryCells(second, "x264|");
+    ASSERT_EQ(done.size(), 4u) << first;
+    ASSERT_EQ(resumed.size(), 4u) << second;
+    EXPECT_EQ(done[3], "done");
+    EXPECT_EQ(resumed[3], "resumed");
+    EXPECT_NE(done[0], "-");
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(done[i], resumed[i]) << "column " << i;
 }
 
 TEST(SweepCli, RemovedOptionsAreUnknown)

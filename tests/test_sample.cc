@@ -229,9 +229,11 @@ TEST(WarmImageTest, StoreFillsModifiedLoadFillsExclusive)
     EXPECT_EQ(img.l1().find(blockAlign(0x2000))->state,
               CohState::Modified);
 
-    EXPECT_EQ(img.stats().stores, 2u);
-    EXPECT_EQ(img.stats().loads, 1u);
-    EXPECT_EQ(img.stats().l3Misses, 2u);
+    // The load missed all the way down and filled every level.
+    const CacheBlk *l2 = img.l2().find(blockAlign(0x2000));
+    ASSERT_NE(l2, nullptr);
+    EXPECT_EQ(l2->state, CohState::Exclusive);
+    EXPECT_NE(img.l3().find(blockAlign(0x2000)), nullptr);
 }
 
 TEST(WarmImageTest, InclusionBackInvalidatesOnL3Eviction)
@@ -272,7 +274,14 @@ TEST(WarmImageTest, WarmingSourceCountsAndRecords)
     (void)warm.next(); // VectorSource loops; not recorded
     EXPECT_EQ(sink.size(), 2u);
     EXPECT_EQ(warm.position(), 4u);
-    EXPECT_EQ(img.stats().uops, 4u);
+    // Every pulled uop reached the image: the store left its block
+    // Modified and the load brought its block in Exclusive.
+    const CacheBlk *st = img.l1().find(blockAlign(0x1000));
+    ASSERT_NE(st, nullptr);
+    EXPECT_EQ(st->state, CohState::Modified);
+    const CacheBlk *ld = img.l1().find(blockAlign(0x2000));
+    ASSERT_NE(ld, nullptr);
+    EXPECT_EQ(ld->state, CohState::Exclusive);
 }
 
 // ---------------------------------------------------------------------
