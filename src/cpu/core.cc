@@ -128,6 +128,7 @@ Core::Core(const CoreConfig &config, int core_id, SimClock *clock,
         t->fetchPipe.reset(fetchBufferPerThread_);
         t->intRegsFree = perThreadShare(p_.intRegs, nt, 8);
         t->fpRegsFree = perThreadShare(p_.fpRegs, nt, 8);
+        t->sb.setOwner(this);
         t->sb.setPrefetchAtCommit(policy == StorePrefetchPolicy::AtCommit);
         t->sb.setCoalescing(config_.coalescingSb);
         if (config_.useSpb) {
@@ -336,7 +337,25 @@ Core::threadQuiescent(const Thread &t) const
 void
 Core::skipQuiescentCycles(Cycle n)
 {
-    const Cycle now = clock_->now; // skipped ticks: now+1 .. now+n
+    creditQuiescentCycles(clock_->now, n);
+}
+
+void
+Core::creditSleep(Cycle last)
+{
+    const Cycle from = asleepSince_;
+    SPB_ASSERT(last >= from,
+               "core %d woken during the ticks of cycle %llu: callbacks "
+               "into a core must run from events",
+               coreId_, static_cast<unsigned long long>(from));
+    asleepSince_ = kNeverCycle;
+    sleptCycles_ += last - from;
+    creditQuiescentCycles(from, last - from);
+}
+
+void
+Core::creditQuiescentCycles(Cycle last_ticked, Cycle n)
+{
     for (auto &tp : ctx_) {
         Thread &t = *tp;
         t.stats.cycles += n;
@@ -348,9 +367,9 @@ Core::skipQuiescentCycles(Cycle n)
             const Cycle min_issued = oldestLoadIssuedAt(t);
             if (min_issued != kNeverCycle) {
                 const Cycle t0 = min_issued + kL1HitLatency + 1;
-                const Cycle last = now + n;
+                const Cycle last = last_ticked + n;
                 if (last >= t0) {
-                    const Cycle from = std::max(now + 1, t0);
+                    const Cycle from = std::max(last_ticked + 1, t0);
                     t.stats.execStallL1dPending += last - from + 1;
                 }
             }
@@ -363,7 +382,7 @@ Core::skipQuiescentCycles(Cycle n)
             const StallResource blocker =
                 dispatchBlocker(t, t.fetchPipe.front());
             SPB_ASSERT(blocker != StallResource::None,
-                       "skipQuiescentCycles on a dispatchable core");
+                       "quiescent cycles credited to a dispatchable core");
             t.stats.dispatchStalls[static_cast<int>(blocker)] += n;
             if (blocker == StallResource::Sb) {
                 t.stats.sbStallsByRegion[static_cast<int>(
@@ -556,6 +575,7 @@ Core::startLoad(Thread &t, std::size_t i)
     }
     Thread *const tp = &t;
     clock_->events.schedule(now + walk, [this, tp, seq, token] {
+        wake();
         issueLoadToL1(*tp, seq, token);
     });
 }
@@ -580,6 +600,7 @@ Core::issueLoadToL1(Thread &t, SeqNum seq, std::uint64_t token)
     req.wrongPath = wrong_path;
     Thread *const tp = &t;
     l1d_->issueLoad(req, [this, tp, seq, token] {
+        wake();
         Thread &th = *tp;
         const std::size_t j = th.rob.indexOf(seq);
         if (j == RobRing::npos || th.rob.token(j) != token ||

@@ -180,6 +180,46 @@ class Core
      */
     void skipQuiescentCycles(Cycle n);
 
+    // Per-core sleep: the run loop stops ticking a quiescent core and
+    // the first callback into it credits the slept cycles in closed
+    // form (DESIGN.md "Quiescence fast-forward").
+
+    /** Stop ticking after this cycle's tick; quiescent() must hold. */
+    void sleep() { asleepSince_ = clock_->now; }
+
+    /** True while the run loop does not tick this core. */
+    bool asleep() const { return asleepSince_ != kNeverCycle; }
+
+    /** The last cycle ticked before the core fell asleep (kNeverCycle
+     *  while awake). */
+    Cycle asleepSince() const { return asleepSince_; }
+
+    /**
+     * Wake point: every callback into the core calls this before it
+     * changes any state. The core slept through the cycles after
+     * asleepSince() up to now - 1 and ticks this cycle itself, once
+     * the callbacks due now have run.
+     */
+    void
+    wake()
+    {
+        if (asleep()) [[unlikely]]
+            creditSleep(clock_->now - 1);
+    }
+
+    /** Wake at the end of a run-loop phase: the core slept through
+     *  the current cycle too. */
+    void
+    catchUp()
+    {
+        if (asleep())
+            creditSleep(clock_->now);
+    }
+
+    /** Core-cycles credited by wake() and catchUp() (host-side count,
+     *  never a statistic). */
+    Cycle sleptCycles() const { return sleptCycles_; }
+
     // Sampling drives single-threaded cores: the next four calls act
     // on thread 0.
 
@@ -385,6 +425,14 @@ class Core
     void checkScheduler() const;
 
     bool threadQuiescent(const Thread &t) const;
+
+    /** skipQuiescentCycles with the last ticked cycle explicit: credit
+     *  the ticks at cycles @p last_ticked + 1 .. @p last_ticked + @p n. */
+    void creditQuiescentCycles(Cycle last_ticked, Cycle n);
+
+    /** Credit the cycles after asleepSince() through @p last and wake. */
+    void creditSleep(Cycle last);
+
     void squashAfter(Thread &t, SeqNum branch_seq);
     void startLoad(Thread &t, std::size_t i);
     void issueLoadToL1(Thread &t, SeqNum seq, std::uint64_t token);
@@ -409,6 +457,8 @@ class Core
     std::vector<std::unique_ptr<Thread>> ctx_;
     unsigned iqInUse_ = 0; //!< shared IQ entries held by all threads
     int rotate_ = 0;       //!< thread with first pick this cycle
+    Cycle asleepSince_ = kNeverCycle; //!< see asleepSince()
+    Cycle sleptCycles_ = 0;           //!< see sleptCycles()
     check::EventLog *eventLog_ = nullptr; //!< litmus-only event sink
 };
 

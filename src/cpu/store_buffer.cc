@@ -5,6 +5,7 @@
 #include "check/check.hh"
 #include "common/logging.hh"
 #include "core/spb.hh"
+#include "cpu/core.hh"
 #include "mem/cache_controller.hh"
 
 namespace spburst
@@ -188,6 +189,8 @@ StoreBuffer::tick(Cycle now)
         return;
     }
     l1d_->drainStore(req, [this, token] {
+        if (owner_)
+            owner_->wake();
         SPB_ASSERT(token == drainToken_, "stale drain completion");
         SPB_ASSERT(!entries_.empty() &&
                        (entries_.flags(0) & sbflags::kSenior),

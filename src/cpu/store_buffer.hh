@@ -35,6 +35,7 @@ namespace spburst
 {
 
 class CacheController;
+class Core;
 class SpbEngine;
 
 /** Store-buffer statistics. */
@@ -59,6 +60,10 @@ class StoreBuffer
      * @param core     Owning core id.
      */
     StoreBuffer(unsigned capacity, CacheController *l1d, int core);
+
+    /** Attach the owning core, woken before a drain completes (see
+     *  Core::wake). Detached store buffers have none. */
+    void setOwner(Core *owner) { owner_ = owner; }
 
     /** Attach the SPB engine (notified on every senior store). */
     void setSpbEngine(SpbEngine *spb) { spb_ = spb; }
@@ -154,6 +159,7 @@ class StoreBuffer
     unsigned capacity_;
     CacheController *l1d_;
     int core_;
+    Core *owner_ = nullptr;
     SpbEngine *spb_ = nullptr;
     bool prefetchAtCommit_ = false;
     bool coalescing_ = false;

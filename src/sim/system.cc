@@ -240,6 +240,29 @@ System::tickOnce()
         core->tick();
 }
 
+void
+System::stepCycle()
+{
+    clock_.tick();
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+        Core &core = *cores_[c];
+        if (core.asleep()) {
+            // Every callback into a core wakes it first, so a core
+            // still asleep after this cycle's events is unchanged.
+            SPBURST_CHECK_SLOW(
+                Pipeline, core.quiescent(),
+                "core %zu asleep since cycle %llu is not quiescent at "
+                "cycle %llu: something changed it without waking it",
+                c, static_cast<unsigned long long>(core.asleepSince()),
+                static_cast<unsigned long long>(clock_.now));
+            continue;
+        }
+        core.tick();
+        if (config_.fastForward && core.quiescent())
+            core.sleep();
+    }
+}
+
 SimResult
 System::run()
 {
@@ -276,12 +299,12 @@ System::cycleLimit(Cycle from, std::uint64_t uops) const
 void
 System::fastForward(const char *phase)
 {
+    for (const auto &core : cores_)
+        if (!core->asleep())
+            return;
     const Cycle next = clock_.events.nextEventCycle();
     if (next <= clock_.now + 1)
         return;
-    for (const auto &core : cores_)
-        if (!core->quiescent())
-            return;
     if (next == kNeverCycle) {
         SPB_FATAL("%s of '%s' deadlocked at cycle %llu: every core is "
                   "quiescent and the event queue is empty (%llu/%llu "
@@ -292,10 +315,17 @@ System::fastForward(const char *phase)
                   static_cast<unsigned long long>(config_.maxUopsPerCore));
     }
     const Cycle n = next - clock_.now - 1;
-    for (auto &core : cores_)
-        core->skipQuiescentCycles(n);
     clock_.now += n;
     ffCycles_ += n;
+}
+
+Cycle
+System::sleptCoreCycles() const
+{
+    Cycle slept = 0;
+    for (const auto &core : cores_)
+        slept += core->sleptCycles();
+    return slept;
 }
 
 void

@@ -98,10 +98,11 @@ struct SystemConfig
      */
     sample::SampleSpec sample;
 
-    /** Host-side performance knob, not part of exp::configKey: jump
-     *  over cycles where every core is quiescent, straight to the next
-     *  scheduled memory event. It changes no result, because it skips
-     *  only cycles proven to be pure stall accounting. */
+    /** Host-side performance knob, not part of exp::configKey: stop
+     *  ticking each quiescent core until a callback wakes it, and jump
+     *  the clock to the next scheduled memory event while every core
+     *  sleeps. It changes no result, because it skips only cycles
+     *  proven to be pure stall accounting. */
     bool fastForward = true;
 };
 
@@ -199,7 +200,8 @@ class System
      */
     SimResult run(const std::function<bool()> &interrupt);
 
-    /** Advance one cycle (fine-grained control for tests/examples). */
+    /** Advance one cycle, ticking every core (fine-grained control
+     *  for tests/examples; no core sleeps here). */
     void tickOnce();
 
     /** Per-core accessors for tests and examples. */
@@ -210,9 +212,15 @@ class System
     /** Collect results so far without running further. */
     SimResult snapshot();
 
-    /** Cycles skipped by quiescence fast-forward (host-side metric;
-     *  included in `cycles` but never reported as a statistic). */
+    /** Cycles the clock jumped while every core slept (host-side
+     *  metric; included in `cycles` but never reported as a
+     *  statistic). */
     Cycle fastForwardedCycles() const { return ffCycles_; }
+
+    /** Core-cycles credited to sleeping cores instead of ticked, over
+     *  all cores (host-side metric, never a statistic; 0 with
+     *  fast-forward off). */
+    Cycle sleptCoreCycles() const;
 
     const SystemConfig &config() const { return config_; }
 
@@ -227,22 +235,28 @@ class System
 
     /**
      * The detailed run loop behind run() and every sampled phase: tick
-     * until @p done() holds, jumping the clock over stretches in which
-     * every core is quiescent. Polls @p interrupt every
-     * kInterruptPollCycles (throwing SimInterrupted when it returns
-     * true) and fails once the clock passes @p cycle_limit; @p phase
-     * names the loop in the fatal messages.
+     * until @p done() holds. With fast-forward on, a core that is
+     * quiescent after its tick sleeps until a callback wakes it, and
+     * the clock jumps over stretches in which every core sleeps; every
+     * sleeping core is caught up before the loop returns. Polls
+     * @p interrupt every kInterruptPollCycles (throwing SimInterrupted
+     * when it returns true) and fails once the clock passes
+     * @p cycle_limit; @p phase names the loop in the fatal messages.
      */
     template <typename Done>
     void advanceUntil(const Done &done, Cycle cycle_limit,
                       const char *phase,
                       const std::function<bool()> &interrupt);
 
-    /** Quiescence fast-forward: when the next event is more than one
-     *  cycle away and every core is provably stalled until then, jump
-     *  the clock to the cycle before it and account the skipped ticks
-     *  as pure stall/occupancy statistics. */
+    /** When every core sleeps and the next event is more than one
+     *  cycle away, jump the clock to the cycle before it (the sleeping
+     *  cores credit the jumped cycles when they wake). */
     void fastForward(const char *phase);
+
+    /** One cycle of the run loop: run the cycle's events, then tick
+     *  every awake core and put each one that is left quiescent to
+     *  sleep. */
+    void stepCycle();
     [[noreturn]] void throwInterrupted() const;
     [[noreturn]] void failCycleLimit(const char *phase) const;
 
@@ -298,7 +312,7 @@ System::advanceUntil(const Done &done, Cycle cycle_limit,
     while (!done()) {
         if (config_.fastForward)
             fastForward(phase);
-        tickOnce();
+        stepCycle();
         if (interrupt && clock_.now >= nextPoll_) {
             nextPoll_ = clock_.now + kInterruptPollCycles;
             if (interrupt())
@@ -307,6 +321,8 @@ System::advanceUntil(const Done &done, Cycle cycle_limit,
         if (clock_.now > cycle_limit)
             failCycleLimit(phase);
     }
+    for (auto &core : cores_)
+        core->catchUp();
 }
 
 /** Build, run, and return the result in one call. */

@@ -249,12 +249,14 @@ sortedReport(const SimResult &r)
 }
 
 std::string
-runOnce(const std::string &workload, bool fast_forward, check::Level level)
+runOnce(const std::string &workload, bool fast_forward, check::Level level,
+        int cores = 1)
 {
     const check::Level saved = check::level();
     check::setLevel(level);
     SystemConfig cfg;
     cfg.workload = workload;
+    cfg.threads = cores;
     cfg.useSpb = true;
     cfg.maxUopsPerCore = 20'000;
     cfg.fastForward = fast_forward;
@@ -262,6 +264,13 @@ runOnce(const std::string &workload, bool fast_forward, check::Level level)
     const SimResult r = sys.run();
     if (!fast_forward) {
         EXPECT_EQ(sys.fastForwardedCycles(), 0u);
+        EXPECT_EQ(sys.sleptCoreCycles(), 0u);
+    } else if (cores > 1) {
+        // Per-core sleep must actually run on a multicore machine,
+        // not only the jump taken while every core sleeps.
+        EXPECT_GT(sys.sleptCoreCycles(),
+                  static_cast<Cycle>(cores) * sys.fastForwardedCycles())
+            << workload << ": no core slept while another ran";
     }
     check::setLevel(saved);
     return sortedReport(r);
@@ -279,6 +288,13 @@ TEST(SchedulerDifferential, ByteIdenticalStatsAcrossHotPathModes)
         EXPECT_EQ(runOnce(w, false, check::Level::Fast),
                   runOnce(w, true, check::Level::Fast))
             << w << ": fast-forward changed results";
+    }
+    // Four cores (at-commit + SPB): a quiescent core sleeps while the
+    // others tick, and each callback into it must wake it first.
+    for (const std::string w : {"dedup", "canneal"}) {
+        EXPECT_EQ(runOnce(w, false, check::Level::Fast, 4),
+                  runOnce(w, true, check::Level::Fast, 4))
+            << w << " on 4 cores: fast-forward changed results";
     }
 }
 

@@ -4,7 +4,7 @@
 Run from anywhere inside the repository:
 
     python3 tools/simbench_ab.py --base=REV [--workloads=parsec-4c,trace-sampled]
-                                 [--pairs=5] [--seconds=55]
+                                 [--pairs=5] [--seconds=55] [--align]
 
 Checks REV out into a temporary `git worktree` ("parent") and compares it
 with the working tree this script lives in ("change"). Each side builds
@@ -14,6 +14,14 @@ then runs in interleaved pairs: pair k runs both sides with seed
 first alternates between pairs, so slow drift on the host hits both
 sides alike.
 
+Code placement alone can move a Release build's throughput by several
+percent. --align configures both sides' build directories with
+`-DCMAKE_CXX_FLAGS="-falign-functions=64 -falign-loops=32"` before the
+first build, so that code added or removed elsewhere shifts no
+function or loop start across a cache line. Without it both sides are
+configured plain Release with no extra flags, as run.py configures a
+fresh directory and as the benchmark is run.
+
 Prints one JSON object: per workload and end-to-end metric of
 BENCHMARK.json, the median and quartiles of each side, the ratio of
 medians (change / parent), the per-pair ratios, how many pairs the
@@ -22,8 +30,10 @@ quartile spread (q3 - q1) / median is wider than the metric's `bound`
 in BENCHMARK.json, unless every change run beats every parent run:
 the host noise then hides a move of that size either way. Otherwise
 it "fails" when the ratio is worse than the bound and "passes" if not.
-Exits 1 if any run failed or a resolved metric failed, else 0;
-unresolved metrics are reported (JSON and stderr) but do not gate.
+The report records the compiler flags (`cxx_flags`) and each side's
+build fingerprint. Exits 1 if any run failed or a resolved metric
+failed, else 0; unresolved metrics are reported (JSON and stderr) but
+do not gate.
 Only ratios taken on one host mean anything; the absolute values do
 not travel between hosts.
 """
@@ -41,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 GOLDEN_SEED = 1
+ALIGN_FLAGS = "-falign-functions=64 -falign-loops=32"
 
 
 def log(msg):
@@ -52,9 +63,20 @@ def git(*args, cwd=ROOT):
                           stdout=subprocess.PIPE).stdout.strip()
 
 
+def configure(root, target, cxx_flags):
+    """Configure one side's simbench build directory with @p cxx_flags
+    before run.py builds it (run.py configures only a directory that
+    has no CMakeCache.txt yet)."""
+    subprocess.run(["cmake", "-S", str(root / "simbench"), "-B",
+                    str(target / "simbench"), "-DCMAKE_BUILD_TYPE=Release",
+                    f"-DCMAKE_CXX_FLAGS={cxx_flags}"],
+                   check=True, stdout=subprocess.DEVNULL)
+
+
 def run_bench(root, target, workload, seed, seconds, scale="full"):
-    """One simbench/run.py run; returns its result object, or None if
-    the run failed (build error, crash, no result line)."""
+    """One simbench/run.py run; returns its result object with the
+    run's fingerprint under "fingerprint", or None if the run failed
+    (build error, crash, no result line)."""
     env = dict(os.environ, CARGO_TARGET_DIR=str(target))
     cmd = [sys.executable, "simbench/run.py", f"--workload={workload}",
            f"--seed={seed}", f"--seconds={seconds}", "--trace=0",
@@ -65,10 +87,16 @@ def run_bench(root, target, workload, seed, seconds, scale="full"):
         sys.stderr.write(proc.stderr)
         return None
     try:
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-    except (IndexError, ValueError):
+        lines = [json.loads(l) for l in proc.stdout.splitlines() if l.strip()]
+    except ValueError:
         return None
-    return result if "metrics" in result else None
+    if not lines or "metrics" not in lines[-1]:
+        return None
+    result = lines[-1]
+    for line in lines[:-1]:
+        if "fingerprint" in line:
+            result["fingerprint"] = line["fingerprint"]
+    return result
 
 
 def run_failed(result):
@@ -143,6 +171,8 @@ def main():
     ap.add_argument("--workdir", default="",
                     help="worktree and build directories (default: a "
                          "temporary directory, removed at exit)")
+    ap.add_argument("--align", action="store_true",
+                    help=f"build both sides with {ALIGN_FLAGS}")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
@@ -161,17 +191,22 @@ def main():
         shutil.rmtree(tree)
     git("worktree", "prune")
     git("worktree", "add", "--detach", str(tree), base_commit)
+    cxx_flags = ALIGN_FLAGS if args.align else ""
     try:
         # Build both sides (and check they run) before timing anything.
+        builds = {}
         for side in SIDES:
             log(f"building {side}")
-            if run_failed(run_bench(roots[side], targets[side],
-                                    workloads[0], GOLDEN_SEED, 0,
-                                    "smoke")):
+            configure(roots[side], targets[side], cxx_flags)
+            smoke = run_bench(roots[side], targets[side], workloads[0],
+                              GOLDEN_SEED, 0, "smoke")
+            if run_failed(smoke):
                 log(f"{side} does not build or run")
                 return 1
+            builds[side] = smoke.get("fingerprint", {}).get("build")
         report = {"base": args.base, "base_commit": base_commit,
                   "pairs": args.pairs, "seconds": args.seconds,
+                  "cxx_flags": cxx_flags, "builds": builds,
                   "workloads": {}}
         ok = True
         for w in workloads:
