@@ -34,41 +34,40 @@ makeVideoPipeline(std::uint64_t seed)
 
     // Frame copies: 16 KiB memcpy bursts (the SB killer).
     program->addPhase(
-        [=](Rng &rng) -> std::unique_ptr<Segment> {
+        [=](Rng &rng) -> AnySegment {
             const Addr off = pageAlign(rng.below(32 << 20));
-            return std::make_unique<CopyBurstSegment>(
+            return CopyBurstSegment(
                 frame_src + pageAlign(rng.below(4 << 20)),
                 frame_dst + off, 16 << 10, 8, Region::Memcpy, 0x7f0000);
         },
         0.10 / 4608.0); // ~10% of uops
     // Buffer zeroing: 8 KiB memsets.
     program->addPhase(
-        [=](Rng &rng) -> std::unique_ptr<Segment> {
+        [=](Rng &rng) -> AnySegment {
             const Addr off = pageAlign(rng.below(32 << 20));
-            return std::make_unique<StoreBurstSegment>(
+            return StoreBurstSegment(
                 scratch + off, 8 << 10, 8, Region::Memset, 0x7e0000);
         },
         0.04 / 1280.0);
     // Motion search: strided reads over the reference frame.
     program->addPhase(
-        [=](Rng &rng) -> std::unique_ptr<Segment> {
-            return std::make_unique<StridedLoadSegment>(
+        [=](Rng &rng) -> AnySegment {
+            return StridedLoadSegment(
                 frame_src + blockAlign(rng.below(4 << 20)), 8, 256,
                 false, 0x410000);
         },
         0.45 / 576.0);
     // Decision logic: data-dependent branches.
     program->addPhase(
-        [=](Rng &rng) -> std::unique_ptr<Segment> {
-            return std::make_unique<BranchyLoadSegment>(
-                frame_src, 2 << 20, 96, 0.03, 0x440000, &rng);
+        [=](Rng &rng) -> AnySegment {
+            return BranchyLoadSegment(frame_src, 2 << 20, 96, 0.03,
+                                      0x440000, &rng);
         },
         0.2 / 288.0);
     // Arithmetic (DCT-ish).
     program->addPhase(
-        [](Rng &rng) -> std::unique_ptr<Segment> {
-            return std::make_unique<AluChainSegment>(256, 0.3, 0.1, 0.01,
-                                                     0x430000, &rng);
+        [](Rng &rng) -> AnySegment {
+            return AluChainSegment(256, 0.3, 0.1, 0.01, 0x430000, &rng);
         },
         0.21 / 256.0);
     return program;

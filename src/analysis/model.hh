@@ -3,11 +3,10 @@
  * Data model shared by the spburst-lint engine and its rules.
  *
  * A lint run loads every requested file into a FileContext (tokens,
- * comments, suppressions, directory category), then builds two
- * project-wide indices in a first pass — a TypeIndex of
- * unordered-container declarations and a DeclIndex of classes,
- * function bodies and the call graph — and finally runs each Rule over
- * each file. Rules are pure: they read the project and append Findings.
+ * comments, suppressions, directory category), then builds a
+ * project-wide TypeIndex of unordered-container declarations in a
+ * first pass, and finally runs each Rule over each file. Rules are
+ * pure: they read the project and append Findings.
  */
 
 #pragma once
@@ -64,16 +63,10 @@ struct FileContext
     bool resultAffecting = false;
     LexedFile lex;
     std::vector<Suppression> suppressions;
-    /** Parsed `// spburst-lint: <tag>` annotations, keyed by the line
-     *  they target (same targeting convention as allow(...): a trailing
-     *  comment targets its own line, an own-line comment targets the
-     *  next line). Tags: "hot", "state(host-only)", "state(snapshot)",
-     *  "state(restore)". */
-    std::map<int, std::set<std::string>> annotations;
 };
 
-/** Project-wide declaration knowledge for the unordered-iteration and
- *  capture rules (built before any rule runs). */
+/** Project-wide declaration knowledge for the unordered-iteration
+ *  rule (built before any rule runs). */
 struct TypeIndex
 {
     /** "Class::method" for methods declared to return (a reference to)
@@ -92,75 +85,11 @@ struct TypeIndex
         varClassByStem;
 };
 
-/** One non-static data member of an indexed class. */
-struct MemberDecl
-{
-    std::string name;
-    std::string file; //!< root-relative path of the declaring file
-    int line = 0;
-    bool hostOnly = false; //!< annotated state(host-only)
-};
-
-/** One indexed function or method body (or bodiless declaration). */
-struct FunctionDecl
-{
-    std::string cls;  //!< qualifying class name; empty for free funcs
-    std::string name; //!< bare name
-    std::size_t fileIndex = 0; //!< into Project::files
-    int line = 0;              //!< 1-based line of the name token
-    std::size_t bodyBegin = 0; //!< token index of the opening '{'
-    std::size_t bodyEnd = 0;   //!< token index of the matching '}'
-    bool hasBody = false;
-    bool hotRoot = false;    //!< directly annotated `hot`
-    bool hot = false;        //!< hotRoot or reachable from one
-    std::string hotVia;      //!< name of the hot root that reaches it
-};
-
-/** Aggregated per-class declaration knowledge. */
-struct ClassDecl
-{
-    std::string name;
-    std::string file; //!< root-relative path of the defining file
-    int line = 0;     //!< line of the class-name token
-    std::vector<MemberDecl> members;
-    /** Method names that capture architectural state: name starts with
-     *  "snapshot", or the declaration is annotated state(snapshot). */
-    std::set<std::string> snapshotMethods;
-    /** Method names that restore it ("restore" prefix or
-     *  state(restore) annotation). */
-    std::set<std::string> restoreMethods;
-};
-
-/** Project-wide declaration index for the semantic rules (built once
- *  before any rule runs, after the token indices). */
-struct DeclIndex
-{
-    std::map<std::string, ClassDecl> classes;
-    std::vector<FunctionDecl> functions;
-    /** Bare function name -> indices into @c functions (bodies only). */
-    std::map<std::string, std::vector<std::size_t>> byName;
-    /** Per file stem: variable/member names declared as StatSet. */
-    std::map<std::string, std::set<std::string>> statSetVarsByStem;
-    /** Per file stem: methods declared to return (a reference to) a
-     *  StatSet. */
-    std::map<std::string, std::set<std::string>> statSetMethodsByStem;
-    /** Names on which `.reserve(` / `->reserve(` is called anywhere in
-     *  the project (capacity-managed vectors for the hot-alloc rule). */
-    std::set<std::string> reservedNames;
-    /** Names declared anywhere as std::deque: chunked allocation with
-     *  no relocation, so hot-alloc's reserve() advice does not apply. */
-    std::set<std::string> dequeNames;
-    /** "Cls::name" of bodiless method declarations annotated `hot`;
-     *  the annotation transfers to the out-of-line definition. */
-    std::set<std::string> hotDeclMethods;
-};
-
 /** Everything a rule may look at. */
 struct Project
 {
     std::vector<std::unique_ptr<FileContext>> files;
     TypeIndex types;
-    DeclIndex decls;
 };
 
 /** One lint rule. Implementations live in rules.cc. */
@@ -177,15 +106,6 @@ class Rule
  *  rule id that can appear in a finding except "unused-suppression",
  *  which the engine emits itself. */
 const std::vector<const Rule *> &allRules();
-
-/** The three semantic rules (snapshot-coverage, stat-hot-path,
- *  hot-alloc), registered by allRules() after the token-level rules.
- *  Defined in semantic_rules.cc. */
-const std::vector<const Rule *> &semanticRules();
-
-/** Build Project::decls from the lexed files. Defined in index.cc;
- *  called by buildIndices(). */
-void buildDeclIndex(Project &project);
 
 /** Rule id the engine uses for stale allow(...) comments. */
 inline constexpr std::string_view kUnusedSuppressionId =

@@ -1,6 +1,5 @@
 #include "analysis/project.hh"
 
-#include <cctype>
 #include <map>
 
 #include "analysis/util.hh"
@@ -85,79 +84,6 @@ parseSuppressions(FileContext &file)
         }
         if (!s.rules.empty())
             file.suppressions.push_back(std::move(s));
-    }
-}
-
-/** Parse the non-allow `spburst-lint:` annotations. Targeting follows
- *  the allow(...) convention: a trailing comment annotates its own
- *  line, an own-line comment annotates the next line. Recognized:
- *  `hot` and `state(host-only|snapshot|restore)`. Anything after
- *  ` -- ` is a human justification. */
-void
-parseAnnotations(FileContext &file)
-{
-    // Own-line annotation comments often continue over several //
-    // lines (`state(host-only) -- a justification that wraps`); the
-    // annotation targets the first line after the whole comment run.
-    std::map<int, int> ownLineSpans; // start line -> end line
-    for (const Comment &c : file.lex.comments)
-        if (c.ownLine)
-            ownLineSpans.emplace(c.line, c.endLine);
-    for (const Comment &c : file.lex.comments) {
-        const std::string_view text = c.text;
-        const std::size_t tag = text.find("spburst-lint:");
-        if (tag == std::string_view::npos)
-            continue;
-        std::string_view body = text.substr(tag + 13);
-        if (const std::size_t j = body.find(" -- ");
-            j != std::string_view::npos)
-            body = body.substr(0, j);
-        int target = c.line;
-        if (c.ownLine) {
-            target = c.endLine + 1;
-            for (auto it = ownLineSpans.find(target);
-                 it != ownLineSpans.end();
-                 it = ownLineSpans.find(target))
-                target = it->second + 1;
-        }
-        auto trimmed = [](std::string_view s) {
-            auto ws = [](char w) {
-                return w == ' ' || w == '\t' || w == '\n' || w == '\r';
-            };
-            while (!s.empty() && ws(s.front()))
-                s.remove_prefix(1);
-            while (!s.empty() && ws(s.back()))
-                s.remove_suffix(1);
-            return std::string(s);
-        };
-        // Parenthesised tag: state(...).
-        std::size_t pos = 0;
-        while ((pos = body.find("state(", pos)) != std::string_view::npos) {
-            const std::size_t open = pos + 5;
-            const std::size_t close = body.find(')', open);
-            pos = open + 1;
-            if (close == std::string_view::npos)
-                continue;
-            const std::string arg =
-                trimmed(body.substr(open + 1, close - open - 1));
-            if (arg == "host-only" || arg == "snapshot" || arg == "restore")
-                file.annotations[target].insert("state(" + arg + ")");
-        }
-        // Bare `hot` tag (word-boundary match so prose in a
-        // justification never trips it).
-        for (std::size_t p = body.find("hot"); p != std::string_view::npos;
-             p = body.find("hot", p + 1)) {
-            const auto wordChar = [](char ch) {
-                return std::isalnum(static_cast<unsigned char>(ch)) ||
-                       ch == '_' || ch == '-' || ch == '(';
-            };
-            const bool bl = p == 0 || !wordChar(body[p - 1]);
-            const bool br = p + 3 >= body.size() || !wordChar(body[p + 3]);
-            if (bl && br) {
-                file.annotations[target].insert("hot");
-                break;
-            }
-        }
     }
 }
 
@@ -315,7 +241,6 @@ makeFile(const std::string &path, const std::string &root,
     file->lex.source = std::move(source);
     lex(file->lex);
     parseSuppressions(*file);
-    parseAnnotations(*file);
     return file;
 }
 
@@ -327,7 +252,6 @@ buildIndices(Project &project)
         indexUnorderedDecls(*file, project.types);
     for (const auto &file : project.files)
         indexClassVars(*file, project.types);
-    buildDeclIndex(project);
 }
 
 } // namespace spburst::lint

@@ -2,7 +2,7 @@
  * @file
  * Project assembly for spburst-lint: file loading, directory
  * classification, suppression-comment parsing, and the project-wide
- * declaration index passes that run before any rule.
+ * type index pass that runs before any rule.
  */
 
 #pragma once
@@ -21,7 +21,7 @@ std::unique_ptr<FileContext> makeFile(const std::string &path,
                                       const std::string &root,
                                       std::string source);
 
-/** Build the TypeIndex and DeclIndex over @p project.files. */
+/** Build the TypeIndex over @p project.files. */
 void buildIndices(Project &project);
 
 } // namespace spburst::lint

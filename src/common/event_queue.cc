@@ -30,7 +30,8 @@ EventQueue::Node *
 EventQueue::allocNode()
 {
     if (freeNodes_ == nullptr) {
-        // spburst-lint: allow(hot-alloc) -- pool refill: one chunk allocation amortised over kChunkNodes events
+        // Pool refill: one chunk allocation amortised over kChunkNodes
+        // events.
         chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
         Node *chunk = chunks_.back().get();
         for (std::size_t i = 0; i < kChunkNodes; ++i) {

@@ -37,30 +37,6 @@ SpbDetector::SpbDetector(const SpbParams &params) : params_(params)
     }
 }
 
-SpbDetectorState
-SpbDetector::architecturalState() const
-{
-    SpbDetectorState s;
-    s.lastBlock = lastBlock_;
-    s.lastAddr = lastAddr_;
-    s.satCounter = satCounter_;
-    s.backwardCounter = backwardCounter_;
-    s.storeCount = storeCount_;
-    s.windowBytes = windowBytes_;
-    return s;
-}
-
-void
-SpbDetector::restoreArchitecturalState(const SpbDetectorState &state)
-{
-    lastBlock_ = state.lastBlock;
-    lastAddr_ = state.lastAddr;
-    satCounter_ = state.satCounter;
-    backwardCounter_ = state.backwardCounter;
-    storeCount_ = state.storeCount;
-    windowBytes_ = state.windowBytes;
-}
-
 unsigned
 SpbDetector::storageBits() const
 {
@@ -85,32 +61,32 @@ SpbDetector::onStoreCommit(Addr addr, unsigned size)
     // raw 64-bit difference (which would be 1 - 2^58) never does.
     constexpr Addr kBlockRegMask = (Addr{1} << 58) - 1;
     const Addr block = blockNumber(addr) & kBlockRegMask;
-    const Addr delta = (block - lastBlock_) & kBlockRegMask;
+    const Addr delta = (block - regs_.lastBlock) & kBlockRegMask;
     if (delta == 1) {
-        if (satCounter_ < params_.counterMax)
-            ++satCounter_;
+        if (regs_.satCounter < params_.counterMax)
+            ++regs_.satCounter;
     } else if (delta != 0) {
-        satCounter_ = 0;
+        regs_.satCounter = 0;
     }
     if (params_.backwardBursts) {
         if (delta == kBlockRegMask) {
-            if (backwardCounter_ < params_.counterMax)
-                ++backwardCounter_;
+            if (regs_.backwardCounter < params_.counterMax)
+                ++regs_.backwardCounter;
         } else if (delta != 0) {
-            backwardCounter_ = 0;
+            regs_.backwardCounter = 0;
         }
     }
-    lastBlock_ = block;
-    lastAddr_ = addr;
-    windowBytes_ += size;
+    regs_.lastBlock = block;
+    regs_.lastAddr = addr;
+    regs_.windowBytes += size;
 
     // (2) Every N stores, test the counter against the threshold. As
     // in the paper's running example (Fig. 4, T8), the check happens
     // on the first commit *after* the count has reached N, with that
     // store's delta already applied — so a window always observes the
     // block transition that closes it.
-    if (storeCount_ < params_.checkInterval) {
-        ++storeCount_;
+    if (regs_.storeCount < params_.checkInterval) {
+        ++regs_.storeCount;
         return SpbBurst{};
     }
 
@@ -122,7 +98,7 @@ SpbDetector::onStoreCommit(Addr addr, unsigned size)
         // size observed this window. Adaptation hysteresis makes this
         // variant slower to react than the fixed N/8 (Sec. IV-C).
         const std::uint64_t avg_size =
-            windowBytes_ == 0 ? 8 : windowBytes_ / (n + 1);
+            regs_.windowBytes == 0 ? 8 : regs_.windowBytes / (n + 1);
         const std::uint64_t per_block =
             avg_size == 0 ? 8 : std::max<std::uint64_t>(
                                     1, kBlockSize / avg_size);
@@ -132,21 +108,21 @@ SpbDetector::onStoreCommit(Addr addr, unsigned size)
     if (threshold == 0)
         threshold = 1;
 
-    const bool fire = satCounter_ >= threshold;
+    const bool fire = regs_.satCounter >= threshold;
     const bool fire_backward = params_.backwardBursts && !fire &&
-                               backwardCounter_ >= threshold;
-    storeCount_ = 0;
-    satCounter_ = 0;
-    backwardCounter_ = 0;
-    windowBytes_ = 0;
+                               regs_.backwardCounter >= threshold;
+    regs_.storeCount = 0;
+    regs_.satCounter = 0;
+    regs_.backwardCounter = 0;
+    regs_.windowBytes = 0;
 
     if (!fire && !fire_backward)
         return SpbBurst{};
 
     // (3) Burst: write-permission prefetches for the rest of the page
     // (or, with the extension, for the page's preceding blocks).
-    SpbBurst burst =
-        fire ? computeBurst(lastAddr_) : computeBackwardBurst(lastAddr_);
+    SpbBurst burst = fire ? computeBurst(regs_.lastAddr)
+                          : computeBackwardBurst(regs_.lastAddr);
     if (burst.count == 0) {
         ++stats_.endOfPageSuppressed;
         return SpbBurst{};

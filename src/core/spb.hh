@@ -102,6 +102,8 @@ struct SpbDetectorState
     unsigned backwardCounter = 0;
     unsigned storeCount = 0;
     std::uint64_t windowBytes = 0;
+
+    bool operator==(const SpbDetectorState &) const = default;
 };
 
 /** The 67-bit detection state machine. */
@@ -117,21 +119,23 @@ class SpbDetector
      * @param size Store size in bytes (used by the dynamic variant).
      * @return Burst to issue; count == 0 means "no burst".
      */
-    // spburst-lint: hot
     SpbBurst onStoreCommit(Addr addr, unsigned size);
 
     // State accessors (tests and the running example).
-    Addr lastBlock() const { return lastBlock_; }
-    unsigned satCounter() const { return satCounter_; }
-    unsigned backwardCounter() const { return backwardCounter_; }
-    unsigned storeCount() const { return storeCount_; }
+    Addr lastBlock() const { return regs_.lastBlock; }
+    unsigned satCounter() const { return regs_.satCounter; }
+    unsigned backwardCounter() const { return regs_.backwardCounter; }
+    unsigned storeCount() const { return regs_.storeCount; }
 
     /** Copy out the architectural registers (statistics excluded). */
-    // spburst-lint: state(snapshot)
-    SpbDetectorState architecturalState() const;
+    SpbDetectorState architecturalState() const { return regs_; }
 
     /** Overwrite the architectural registers (statistics untouched). */
-    void restoreArchitecturalState(const SpbDetectorState &state);
+    void
+    restoreArchitecturalState(const SpbDetectorState &state)
+    {
+        regs_ = state;
+    }
 
     /** Storage cost in bits: 58 + 4 + ceil(log2(N)) (+4 with the
      *  backward extension). */
@@ -140,18 +144,12 @@ class SpbDetector
     const SpbStats &stats() const { return stats_; }
 
   private:
-    // spburst-lint: state(host-only) -- construction-time parameters,
-    // identical in the warming and detailed detectors
     SpbParams params_;
-    Addr lastBlock_ = 0;       //!< 58-bit block address register
-    Addr lastAddr_ = kInvalidAddr; //!< full address (page bookkeeping)
-    unsigned satCounter_ = 0;  //!< 4-bit saturating counter (+1 deltas)
-    unsigned backwardCounter_ = 0; //!< extension: -1 delta counter
-    unsigned storeCount_ = 0;  //!< window position
-    std::uint64_t windowBytes_ = 0; //!< dynamic variant: bytes stored
-    // spburst-lint: state(host-only) -- measurement counters, excluded
-    // from the architectural state by design (paper reports them per
-    // measurement interval)
+    /** Every register the detector carries between stores, in one
+     *  struct so that snapshot and restore copy all of them. */
+    SpbDetectorState regs_;
+    /** Measurement counters, outside the architectural state by design
+     *  (the paper reports them per measurement interval). */
     SpbStats stats_;
 };
 

@@ -157,7 +157,6 @@ class Core
     Core &operator=(const Core &) = delete;
 
     /** Simulate one cycle (memory events for the cycle already ran). */
-    // spburst-lint: hot
     void tick();
 
     /**

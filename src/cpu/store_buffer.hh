@@ -112,7 +112,6 @@ class StoreBuffer
     void squashFrom(SeqNum seq);
 
     /** Advance one cycle: drain the head if possible. */
-    // spburst-lint: hot
     void tick(Cycle now);
 
     /** True when tick() would be a pure stat update: nothing to drain
@@ -141,7 +140,6 @@ class StoreBuffer
      * blocks forwarding from anything older (the load would otherwise
      * mix stale bytes with pending ones).
      */
-    // spburst-lint: hot
     SeqNum forwards(SeqNum load_seq, Addr addr, unsigned size);
 
     /** Region of the head entry (stall attribution, Fig. 3). */

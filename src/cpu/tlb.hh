@@ -61,7 +61,6 @@ class Tlb
      * @return Extra access latency: 0 on a hit, walkLatency on a miss
      *         (the entry is filled).
      */
-    // spburst-lint: hot
     Cycle access(Addr vaddr);
 
     /** Non-timing presence probe (tests). */
@@ -86,16 +85,14 @@ class Tlb
 
     std::size_t setIndex(Addr page) const;
 
-    // spburst-lint: state(host-only) -- construction-time geometry,
-    // identical in the warming and detailed Tlb by construction
+    // Construction-time geometry, identical in the warming and detailed
+    // Tlb by construction.
     TlbParams params_;
-    // spburst-lint: state(host-only) -- derived from params_, never
-    // mutated after construction
     unsigned sets_;
     std::vector<Entry> entries_; // set-major
     std::uint64_t useClock_ = 0;
-    // spburst-lint: state(host-only) -- measurement counters, reset at
-    // interval boundaries by the sampling driver, not warm state
+    // Measurement counters, reset at interval boundaries by the
+    // sampling driver, not warm state.
     TlbStats stats_;
 };
 

@@ -71,12 +71,10 @@ class SetAssocCache
 
     /** Find the frame holding @p block_addr, or nullptr. Does NOT touch
      *  LRU state; call touch() on a real access. */
-    // spburst-lint: hot
     CacheBlk *find(Addr block_addr);
     const CacheBlk *find(Addr block_addr) const;
 
     /** Promote a block to MRU. */
-    // spburst-lint: hot
     void touch(CacheBlk &blk);
 
     /**
@@ -87,7 +85,6 @@ class SetAssocCache
     CacheBlk &victim(Addr block_addr);
 
     /** Install @p block_addr into @p frame with the given state. */
-    // spburst-lint: hot
     void fill(CacheBlk &frame, Addr block_addr, CohState state);
 
     /** Invalidate a block if present; returns true if it was dirty. */
@@ -144,15 +141,13 @@ class SetAssocCache
     }
 
   private:
-    // spburst-lint: state(host-only) -- construction-time geometry,
-    // identical across the warming and detailed hierarchies
+    // Construction-time geometry, identical across the warming and
+    // detailed hierarchies.
     std::uint64_t sets_;
-    // spburst-lint: state(host-only) -- construction-time geometry
     std::uint32_t ways_;
     std::vector<CacheBlk> frames_; // sets_ * ways_, set-major
     std::uint64_t clock_ = 0;      // LRU timestamp source
-    // spburst-lint: state(host-only) -- host bookkeeping of which
-    // frames changed, not simulated state
+    // Host bookkeeping of which frames changed, not simulated state.
     std::vector<std::uint64_t> changed_; // one bit per frame
 
     /** Index of the frame holding @p block_addr, or frames_.size(). */

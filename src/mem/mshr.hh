@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -54,39 +53,49 @@ struct MshrEntry
 
 /** Fixed-capacity MSHR file with block-address lookup.
  *
- *  Entries live in a fixed slot array recycled through a free list, so
- *  allocate/deallocate never touch the heap in steady state and each
- *  slot's `targets` vector keeps its capacity across misses. Slot
- *  pointers stay valid until the entry is deallocated. */
+ *  Entries live in a fixed slot array recycled through a free list, and
+ *  the lookup index is a dense array of the in-use block addresses
+ *  (at most `capacity` long, scanned linearly, swap-removed on
+ *  deallocate). All three are sized at construction, so
+ *  allocate/find/deallocate never touch the heap and each slot's
+ *  `targets` vector keeps its capacity across misses. Slot pointers
+ *  stay valid until the entry is deallocated. */
 class MshrFile
 {
   public:
+    /** Initial per-slot target capacity: one drain + a handful of
+     *  merged loads/prefetches covers nearly every miss. */
+    static constexpr std::size_t kTargetsReserve = 8;
+
     explicit MshrFile(std::size_t capacity);
 
     /** Entry for @p block_addr if a miss is outstanding, else nullptr. */
-    // spburst-lint: hot
     MshrEntry *find(Addr block_addr);
 
     /**
      * Allocate an entry for a new miss.
      * @return the new entry, or nullptr if the file is full.
      */
-    // spburst-lint: hot
     MshrEntry *allocate(Addr block_addr, MemCmd cmd, Cycle now);
 
     /** Release the entry for @p block_addr (must exist). */
-    // spburst-lint: hot
     void deallocate(Addr block_addr);
 
-    bool full() const { return index_.size() >= capacity_; }
-    std::size_t inUse() const { return index_.size(); }
+    bool full() const { return liveAddrs_.size() >= capacity_; }
+    std::size_t inUse() const { return liveAddrs_.size(); }
     std::size_t capacity() const { return capacity_; }
 
   private:
+    /** Position of @p aligned in liveAddrs_, or liveAddrs_.size(). */
+    std::size_t indexOf(Addr aligned) const;
+
     std::size_t capacity_;
     std::vector<MshrEntry> slots_;          //!< fixed; never reallocates
     std::vector<std::uint32_t> freeSlots_;  //!< LIFO recycling
-    std::unordered_map<Addr, std::uint32_t> index_;
+    /** Block address of every entry in use, in no particular order;
+     *  liveSlots_[i] is the slot of liveAddrs_[i]. */
+    std::vector<Addr> liveAddrs_;
+    std::vector<std::uint32_t> liveSlots_;
 };
 
 } // namespace spburst

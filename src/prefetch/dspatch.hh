@@ -71,7 +71,6 @@ class DSPatchPrefetcher : public PrefetcherIface
         const DSPatchParams &params = DSPatchParams{});
 
     const char *name() const override { return "dspatch"; }
-    // spburst-lint: hot
     void notifyAccess(const MemRequest &req, bool hit,
                       std::vector<Addr> &out) override;
 

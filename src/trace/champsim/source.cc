@@ -168,7 +168,9 @@ TraceReplaySource::startPass()
 void
 TraceReplaySource::refill()
 {
-    while (buffer_.empty()) {
+    scratch_.clear();
+    scratchPos_ = 0;
+    while (scratch_.empty()) {
         if (!passPrimed_)
             startPass();
         if (!havePending_ || passBudget_ == 0) {
@@ -190,12 +192,10 @@ TraceReplaySource::refill()
         // the end of a pass fall back to the sequential fiction.
         const std::uint64_t next_ip =
             havePending_ ? pending_.ip : current.ip + 4;
-        scratch_.clear();
         cracker_.crack(current, next_ip, scratch_);
         for (MicroOp &op : scratch_) {
             if (isMemOp(op.cls))
                 op.addr += addrOffset_;
-            buffer_.push_back(op);
         }
         ++stats_.instrsReplayed;
         ++passReplayed_;
@@ -206,11 +206,9 @@ TraceReplaySource::refill()
 MicroOp
 TraceReplaySource::next()
 {
-    if (buffer_.empty())
+    if (scratchPos_ == scratch_.size())
         refill();
-    const MicroOp op = buffer_.front();
-    buffer_.pop_front();
-    return op;
+    return scratch_[scratchPos_++];
 }
 
 } // namespace spburst::champsim

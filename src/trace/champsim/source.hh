@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -113,8 +112,11 @@ class TraceReplaySource : public TraceSource
     Addr addrOffset_;
     Decoder decoder_;
     Cracker cracker_;
-    std::deque<MicroOp> buffer_;
+    /** Uops of the last cracked instruction; next() serves them from
+     *  scratchPos_ on and refill() cracks the next instruction once all
+     *  are served. */
     std::vector<MicroOp> scratch_;
+    std::size_t scratchPos_ = 0;
     Record pending_;
     bool havePending_ = false;
     bool passPrimed_ = false;

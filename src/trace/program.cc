@@ -1,5 +1,7 @@
 #include "trace/program.hh"
 
+#include <type_traits>
+
 #include "common/logging.hh"
 
 namespace spburst
@@ -38,8 +40,14 @@ MicroOp
 WorkloadProgram::next()
 {
     MicroOp op;
+    const auto produce = [&op](auto &segment) {
+        if constexpr (std::is_same_v<decltype(segment), std::monostate &>)
+            return false;
+        else
+            return segment.produce(op);
+    };
     for (int guard = 0; guard < 1000; ++guard) {
-        if (current_ && current_->produce(op))
+        if (std::visit(produce, current_))
             return op;
         pickSegment();
     }

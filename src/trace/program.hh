@@ -12,12 +12,12 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hh"
+#include "trace/segments.hh"
 #include "trace/source.hh"
 
 namespace spburst
@@ -28,7 +28,7 @@ class WorkloadProgram : public TraceSource
 {
   public:
     /** Builds a new (finite) segment each time the previous one ends. */
-    using Factory = std::function<std::unique_ptr<Segment>(Rng &)>;
+    using Factory = std::function<AnySegment(Rng &)>;
 
     /** @param name Diagnostic name. @param seed Determinism seed. */
     WorkloadProgram(std::string name, std::uint64_t seed);
@@ -46,7 +46,8 @@ class WorkloadProgram : public TraceSource
     Rng rng_;
     std::vector<std::pair<Factory, double>> phases_;
     double totalWeight_ = 0.0;
-    std::unique_ptr<Segment> current_;
+    /** Held by value, so picking a segment allocates nothing. */
+    AnySegment current_;
 };
 
 } // namespace spburst

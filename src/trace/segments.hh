@@ -9,16 +9,21 @@
  * in roms), sparse scatter stores, pointer chasing, strided streaming
  * loads, ALU dependence chains, and data-dependent branches whose
  * resolution hangs off a load (the source of wrong-path work).
+ *
+ * Every segment has one method, `bool produce(MicroOp &op)`: it writes
+ * the segment's next micro-op into @p op and returns true, or returns
+ * false once the segment is exhausted (leaving @p op untouched).
+ * AnySegment holds any one of them by value.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <variant>
 
 #include "common/rng.hh"
 #include "common/types.hh"
-#include "trace/source.hh"
+#include "trace/uop.hh"
 
 namespace spburst
 {
@@ -33,7 +38,7 @@ namespace spburst
  * addresses are reordered by the compiler, as the paper observes in
  * roms) while still covering every byte.
  */
-class StoreBurstSegment : public Segment
+class StoreBurstSegment
 {
   public:
     /** @param descending Emit the stores highest-address-first (stack
@@ -43,7 +48,7 @@ class StoreBurstSegment : public Segment
                       std::uint64_t pc_base, bool shuffled = false,
                       bool descending = false);
 
-    bool produce(MicroOp &op) override;
+    bool produce(MicroOp &op);
 
   private:
     Addr start_;
@@ -65,14 +70,14 @@ class StoreBurstSegment : public Segment
  * plus loop overhead. Exercises simultaneous load- and store-side
  * pressure the way library memcpy does.
  */
-class CopyBurstSegment : public Segment
+class CopyBurstSegment
 {
   public:
     CopyBurstSegment(Addr src, Addr dst, std::uint64_t bytes,
                      std::uint8_t elem_size, Region region,
                      std::uint64_t pc_base);
 
-    bool produce(MicroOp &op) override;
+    bool produce(MicroOp &op);
 
   private:
     Addr src_;
@@ -89,13 +94,13 @@ class CopyBurstSegment : public Segment
  * Strided streaming loads (stencil/array sweep) with a dependent ALU op
  * per load and loop overhead.
  */
-class StridedLoadSegment : public Segment
+class StridedLoadSegment
 {
   public:
     StridedLoadSegment(Addr start, std::uint64_t stride,
                        std::uint64_t count, bool fp, std::uint64_t pc_base);
 
-    bool produce(MicroOp &op) override;
+    bool produce(MicroOp &op);
 
   private:
     Addr start_;
@@ -112,14 +117,14 @@ class StridedLoadSegment : public Segment
  * load's value; addresses are uniform-random over a working set, so the
  * miss ratio tracks the working-set size vs cache capacity.
  */
-class PointerChaseSegment : public Segment
+class PointerChaseSegment
 {
   public:
     PointerChaseSegment(Addr base, std::uint64_t ws_bytes,
                         std::uint64_t count, std::uint64_t pc_base,
                         Rng *rng);
 
-    bool produce(MicroOp &op) override;
+    bool produce(MicroOp &op);
 
   private:
     Addr base_;
@@ -132,14 +137,14 @@ class PointerChaseSegment : public Segment
 };
 
 /** Arithmetic dependence chains with a configurable int/fp/mul/div mix. */
-class AluChainSegment : public Segment
+class AluChainSegment
 {
   public:
     AluChainSegment(std::uint64_t count, double fp_fraction,
                     double mul_fraction, double div_fraction,
                     std::uint64_t pc_base, Rng *rng);
 
-    bool produce(MicroOp &op) override;
+    bool produce(MicroOp &op);
 
   private:
     std::uint64_t count_;
@@ -157,14 +162,14 @@ class AluChainSegment : public Segment
  * given probability. This is the wrong-path generator: the deeper the
  * load miss, the longer the branch stays unresolved.
  */
-class BranchyLoadSegment : public Segment
+class BranchyLoadSegment
 {
   public:
     BranchyLoadSegment(Addr base, std::uint64_t ws_bytes,
                        std::uint64_t count, double mispredict_rate,
                        std::uint64_t pc_base, Rng *rng);
 
-    bool produce(MicroOp &op) override;
+    bool produce(MicroOp &op);
 
   private:
     Addr base_;
@@ -182,14 +187,14 @@ class BranchyLoadSegment : public Segment
  * Sparse scatter stores to random addresses in a working set: store
  * pressure SPB must *not* react to (no contiguous-block pattern).
  */
-class ScatterStoreSegment : public Segment
+class ScatterStoreSegment
 {
   public:
     ScatterStoreSegment(Addr base, std::uint64_t ws_bytes,
                         std::uint64_t count, std::uint64_t pc_base,
                         Rng *rng);
 
-    bool produce(MicroOp &op) override;
+    bool produce(MicroOp &op);
 
   private:
     Addr base_;
@@ -200,5 +205,11 @@ class ScatterStoreSegment : public Segment
     std::uint64_t pcBase_;
     Rng *rng_;
 };
+
+/** One segment of any kind, held by value (std::monostate: none yet). */
+using AnySegment =
+    std::variant<std::monostate, StoreBurstSegment, CopyBurstSegment,
+                 StridedLoadSegment, PointerChaseSegment, AluChainSegment,
+                 BranchyLoadSegment, ScatterStoreSegment>;
 
 } // namespace spburst

@@ -1,16 +1,14 @@
 /**
  * @file
- * Abstract interfaces for micro-op streams.
+ * Abstract interface for micro-op streams.
  *
- * A TraceSource is an endless stream of MicroOps feeding one core. A
- * Segment is a finite generator from which composite workload programs
- * are assembled (see trace/program.hh).
+ * A TraceSource is an endless stream of MicroOps feeding one core.
+ * Composite workload programs are assembled from finite segments (see
+ * trace/segments.hh and trace/program.hh).
  */
 
 #pragma once
 
-#include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,22 +28,6 @@ class TraceSource
 
     /** Diagnostic name of the workload. */
     virtual const std::string &name() const = 0;
-};
-
-/** Finite micro-op generator; building block of workload programs. */
-class Segment
-{
-  public:
-    virtual ~Segment() = default;
-
-    /**
-     * Produce the next micro-op of this segment.
-     *
-     * @param[out] op Receives the generated micro-op.
-     * @retval true  op is valid.
-     * @retval false the segment is exhausted; op is untouched.
-     */
-    virtual bool produce(MicroOp &op) = 0;
 };
 
 /** TraceSource that replays a fixed vector of uops, then repeats it. */

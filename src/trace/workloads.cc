@@ -421,8 +421,7 @@ buildWorkload(const ProfileParams &params, std::uint64_t seed,
         const std::uint64_t arena = p.storeArenaBytes;
         const std::uint64_t pc = burstPcBase(p.burstRegion);
         program->addPhase(
-            [p, store_arena, copy_src, arena, pc](Rng &rng)
-                -> std::unique_ptr<Segment> {
+            [p, store_arena, copy_src, arena, pc](Rng &rng) -> AnySegment {
                 const std::uint64_t bytes =
                     rng.range(p.burstBytes / 2, p.burstBytes * 3 / 2);
                 const Addr start =
@@ -432,10 +431,10 @@ buildWorkload(const ProfileParams &params, std::uint64_t seed,
                         std::min<std::uint64_t>(arena, 8ULL << 20);
                     const Addr src =
                         copy_src + pageAlign(rng.below(src_window));
-                    return std::make_unique<CopyBurstSegment>(
+                    return CopyBurstSegment(
                         src, start, bytes, 8, p.burstRegion, pc + 0x1000);
                 }
-                return std::make_unique<StoreBurstSegment>(
+                return StoreBurstSegment(
                     start, bytes, 8, p.burstRegion, pc, p.shuffledStores);
             },
             p.burstWeight / burstActivationUops(p));
@@ -443,8 +442,8 @@ buildWorkload(const ProfileParams &params, std::uint64_t seed,
 
     if (p.chaseWeight > 0.0) {
         program->addPhase(
-            [load_ws, load_ws_bytes](Rng &rng) -> std::unique_ptr<Segment> {
-                return std::make_unique<PointerChaseSegment>(
+            [load_ws, load_ws_bytes](Rng &rng) -> AnySegment {
+                return PointerChaseSegment(
                     load_ws, load_ws_bytes, 128, kPcChase, &rng);
             },
             p.chaseWeight / 256.0);
@@ -453,20 +452,18 @@ buildWorkload(const ProfileParams &params, std::uint64_t seed,
     if (p.stridedWeight > 0.0) {
         const bool fp = p.fpFraction > 0.5;
         program->addPhase(
-            [load_ws, load_ws_bytes, fp](Rng &rng)
-                -> std::unique_ptr<Segment> {
+            [load_ws, load_ws_bytes, fp](Rng &rng) -> AnySegment {
                 const Addr start =
                     load_ws + blockAlign(rng.below(load_ws_bytes));
-                return std::make_unique<StridedLoadSegment>(
-                    start, 8, 256, fp, kPcStrided);
+                return StridedLoadSegment(start, 8, 256, fp, kPcStrided);
             },
             p.stridedWeight / 576.0);
     }
 
     if (p.aluWeight > 0.0) {
         program->addPhase(
-            [p](Rng &rng) -> std::unique_ptr<Segment> {
-                return std::make_unique<AluChainSegment>(
+            [p](Rng &rng) -> AnySegment {
+                return AluChainSegment(
                     256, p.fpFraction, 0.10, 0.02, kPcAlu, &rng);
             },
             p.aluWeight / 256.0);
@@ -474,9 +471,8 @@ buildWorkload(const ProfileParams &params, std::uint64_t seed,
 
     if (p.branchyWeight > 0.0) {
         program->addPhase(
-            [p, load_ws, load_ws_bytes](Rng &rng)
-                -> std::unique_ptr<Segment> {
-                return std::make_unique<BranchyLoadSegment>(
+            [p, load_ws, load_ws_bytes](Rng &rng) -> AnySegment {
+                return BranchyLoadSegment(
                     load_ws, load_ws_bytes, 96, p.mispredictRate,
                     kPcBranchy, &rng);
             },
@@ -485,8 +481,8 @@ buildWorkload(const ProfileParams &params, std::uint64_t seed,
 
     if (p.scatterWeight > 0.0) {
         program->addPhase(
-            [store_arena, p](Rng &rng) -> std::unique_ptr<Segment> {
-                return std::make_unique<ScatterStoreSegment>(
+            [store_arena, p](Rng &rng) -> AnySegment {
+                return ScatterStoreSegment(
                     store_arena, p.storeArenaBytes, 96, kPcScatter, &rng);
             },
             p.scatterWeight / 144.0);
@@ -495,14 +491,14 @@ buildWorkload(const ProfileParams &params, std::uint64_t seed,
     // Multi-threaded runs add communication phases on a shared region.
     if (num_threads > 1 && p.sharedFraction > 0.0) {
         program->addPhase(
-            [](Rng &rng) -> std::unique_ptr<Segment> {
-                return std::make_unique<PointerChaseSegment>(
+            [](Rng &rng) -> AnySegment {
+                return PointerChaseSegment(
                     kSharedBase, kSharedBytes, 96, kPcSharedChase, &rng);
             },
             p.sharedFraction / 192.0);
         program->addPhase(
-            [](Rng &rng) -> std::unique_ptr<Segment> {
-                return std::make_unique<ScatterStoreSegment>(
+            [](Rng &rng) -> AnySegment {
+                return ScatterStoreSegment(
                     kSharedBase, kSharedBytes, 32, kPcSharedStore, &rng);
             },
             p.sharedFraction * 0.2 / 48.0);

@@ -154,6 +154,20 @@ mutate(SetAssocCache &c, Rng &rng)
     }
 }
 
+/** A demand access: the frame index of the hit, or -(victim + 1) after
+ *  filling the victim on a miss. */
+std::ptrdiff_t
+accessFrame(SetAssocCache &c, Addr block)
+{
+    if (CacheBlk *hit = c.find(block)) {
+        c.touch(*hit);
+        return hit - c.frames().data();
+    }
+    CacheBlk &v = c.victim(block);
+    c.fill(v, block, CohState::Exclusive);
+    return -(&v - c.frames().data()) - 1;
+}
+
 TEST(CacheChangeTracking, RestoreFromMatchesIndependentlyMutatedImage)
 {
     // 32 sets x 4 ways: 128 frames, two bitmap words. 256 candidate
@@ -191,6 +205,19 @@ TEST(CacheChangeTracking, RestoreFromMatchesIndependentlyMutatedImage)
         EXPECT_TRUE(twin.equalsTransplantOf(image));
         EXPECT_TRUE(detailed.snapshotChanges().frames.empty())
             << "restoreFrom clears the target's change bits";
+
+        // A restored array behaves exactly like its source: on one
+        // random access sequence (run on copies, so the next period
+        // starts from the same state) every lookup hits the same frame
+        // and every miss picks the same victim.
+        SetAssocCache source = image, restored = detailed;
+        Rng access_rng(static_cast<std::uint64_t>(period) + 1000);
+        for (int i = 0; i < 64; ++i) {
+            const Addr block = access_rng.below(256) * kBlockSize;
+            ASSERT_EQ(accessFrame(restored, block),
+                      accessFrame(source, block))
+                << "period " << period << " access " << i;
+        }
     }
 }
 
@@ -266,6 +293,34 @@ TEST(Mshr, AllocateFindDeallocate)
     EXPECT_EQ(mshr.find(0x1020), e); // same block
     mshr.deallocate(0x1000);
     EXPECT_EQ(mshr.find(0x1000), nullptr);
+
+    // Out-of-order deallocation: freeing the oldest entry swap-removes
+    // the newest into its index position, and every survivor is still
+    // found at its own (unmoved) slot.
+    MshrEntry *a = mshr.allocate(0x1000, MemCmd::ReadReq, 6);
+    MshrEntry *b = mshr.allocate(0x2000, MemCmd::ReadReq, 7);
+    MshrEntry *c = mshr.allocate(0x3000, MemCmd::ReadReq, 8);
+    mshr.deallocate(0x1000);
+    EXPECT_EQ(mshr.find(0x1000), nullptr);
+    EXPECT_EQ(mshr.find(0x2000), b);
+    EXPECT_EQ(mshr.find(0x3000), c);
+    EXPECT_EQ(mshr.find(0x3000)->allocCycle, 8u);
+    mshr.deallocate(0x3000);
+    EXPECT_EQ(mshr.find(0x2000), b);
+    EXPECT_EQ(mshr.inUse(), 1u);
+
+    // A freed block address can be allocated again, and is found.
+    a = mshr.allocate(0x1000, MemCmd::WriteOwnReq, 9);
+    ASSERT_NE(a, nullptr);
+    EXPECT_EQ(mshr.find(0x1000), a);
+    EXPECT_EQ(a->allocCycle, 9u);
+    EXPECT_TRUE(a->ownershipRequested);
+    EXPECT_EQ(mshr.find(0x2000), b);
+    mshr.deallocate(0x2000);
+    mshr.deallocate(0x1000);
+    EXPECT_EQ(mshr.inUse(), 0u);
+    EXPECT_EQ(mshr.find(0x1000), nullptr);
+    EXPECT_EQ(mshr.find(0x2000), nullptr);
 }
 
 TEST(Mshr, OwnershipFlagTracksCommand)
@@ -282,12 +337,28 @@ TEST(Mshr, CapacityEnforced)
 {
     MshrFile mshr(2);
     EXPECT_NE(mshr.allocate(0x1000, MemCmd::ReadReq, 0), nullptr);
+    EXPECT_FALSE(mshr.full());
     EXPECT_NE(mshr.allocate(0x2000, MemCmd::ReadReq, 0), nullptr);
     EXPECT_TRUE(mshr.full());
+    EXPECT_EQ(mshr.inUse(), mshr.capacity());
     EXPECT_EQ(mshr.allocate(0x3000, MemCmd::ReadReq, 0), nullptr);
+    EXPECT_EQ(mshr.find(0x3000), nullptr) << "a refused miss is not found";
     mshr.deallocate(0x1000);
     EXPECT_FALSE(mshr.full());
-    EXPECT_NE(mshr.allocate(0x3000, MemCmd::ReadReq, 0), nullptr);
+    MshrEntry *e = mshr.allocate(0x3000, MemCmd::ReadReq, 0);
+    EXPECT_NE(e, nullptr);
+    EXPECT_TRUE(mshr.full());
+    EXPECT_EQ(mshr.find(0x3000), e);
+    EXPECT_NE(mshr.find(0x2000), nullptr);
+
+    // Full again after every entry has been recycled once.
+    mshr.deallocate(0x2000);
+    mshr.deallocate(0x3000);
+    EXPECT_EQ(mshr.inUse(), 0u);
+    EXPECT_NE(mshr.allocate(0x2000, MemCmd::ReadReq, 1), nullptr);
+    EXPECT_NE(mshr.allocate(0x4000, MemCmd::ReadReq, 1), nullptr);
+    EXPECT_TRUE(mshr.full());
+    EXPECT_EQ(mshr.allocate(0x5000, MemCmd::ReadReq, 1), nullptr);
 }
 
 TEST(Mshr, TargetsAccumulate)

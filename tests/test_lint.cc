@@ -23,8 +23,6 @@
 
 #include <sys/wait.h>
 
-#include <filesystem>
-
 #include "analysis/compdb.hh"
 #include "analysis/engine.hh"
 #include "analysis/project.hh"
@@ -59,7 +57,7 @@ TEST(Lint, FixtureCorpusTripsEveryRuleAtTheExpectedLines)
 {
     const RunResult result = lintFixtures();
     EXPECT_TRUE(result.errors.empty());
-    EXPECT_EQ(result.filesAnalyzed, 14u);
+    EXPECT_EQ(result.filesAnalyzed, 8u);
 
     const std::set<Key> expected = {
         {"nondeterminism", "src/mem/nondet_bad.cc", 11},       // rand
@@ -75,17 +73,10 @@ TEST(Lint, FixtureCorpusTripsEveryRuleAtTheExpectedLines)
         {"callback-capture", "src/mem/capture_bad.cc", 24},    // [&x]
         {"callback-capture", "src/mem/capture_bad.cc", 26},    // Mshr*
         {"unused-suppression", "src/mem/suppress.cc", 14},
-        {"snapshot-coverage", "src/mem/snapcov_bad.cc", 15},  // stats_
-        {"stat-hot-path", "src/mem/stathot_bad.cc", 15},  // member
-        {"stat-hot-path", "src/mem/stathot_bad.cc", 16},  // accessor
-        {"hot-alloc", "src/mem/hotalloc_bad.cc", 13},  // push_back
-        {"hot-alloc", "src/mem/hotalloc_bad.cc", 21},  // make_unique
-        {"hot-alloc", "src/mem/hotalloc_bad.cc", 23},  // new
-        {"hot-alloc", "src/mem/hotalloc_bad.cc", 37},  // member field
     };
     EXPECT_EQ(keysOf(result), expected);
     // chrono + steady_clock both flag nondet_bad.cc:13.
-    EXPECT_EQ(result.findings.size(), 21u);
+    EXPECT_EQ(result.findings.size(), 14u);
 }
 
 TEST(Lint, GoodFixturesAndExemptDirsStaySilent)
@@ -123,15 +114,13 @@ TEST(Lint, RuleFilterRestrictsToTheRequestedRule)
     }
 }
 
-TEST(Lint, CatalogueHasTheSixRulesWithUniqueIds)
+TEST(Lint, CatalogueHasTheThreeRulesWithUniqueIds)
 {
     std::set<std::string> ids;
     for (const Rule *rule : allRules())
         ids.insert(std::string(rule->info().id));
     const std::set<std::string> expected = {
-        "nondeterminism",    "unordered-iteration", "callback-capture",
-        "snapshot-coverage", "stat-hot-path",       "hot-alloc",
-    };
+        "nondeterminism", "unordered-iteration", "callback-capture"};
     EXPECT_EQ(ids, expected);
     EXPECT_EQ(allRules().size(), expected.size()); // ids are unique
 }
@@ -260,64 +249,6 @@ TEST(LintTree, RealSourcesLintClean)
     EXPECT_TRUE(result.errors.empty());
     EXPECT_GE(result.filesAnalyzed, 100u);
     EXPECT_TRUE(result.findings.empty()) << renderText(result);
-}
-
-// ---------------------------------------------------------------------
-// Semantic layer: mutation coverage
-// ---------------------------------------------------------------------
-
-namespace fs = std::filesystem;
-
-/** Copy the named fixtures into a fresh temp tree and return its
- *  root. Findings then run against mutable copies. */
-std::string
-makeTempTree(const std::vector<std::string> &rels,
-             const std::string &tag)
-{
-    const fs::path root = fs::path(testing::TempDir()) /
-                          ("spburst_lint_" + tag);
-    fs::remove_all(root);
-    for (const std::string &rel : rels) {
-        const fs::path dst = root / rel;
-        fs::create_directories(dst.parent_path());
-        fs::copy_file(fs::path(SPBURST_LINT_FIXTURES) / rel, dst);
-    }
-    return root.generic_string();
-}
-
-RunResult
-lintTree(const std::string &root)
-{
-    Options options;
-    options.root = root;
-    options.files = filesFromTree(root);
-    return runLint(options);
-}
-
-TEST(LintMutation, DroppingAMemberFromRestoreIsCaught)
-{
-    const std::string root =
-        makeTempTree({"src/mem/snapcov_good.cc"}, "mutant");
-    EXPECT_TRUE(lintTree(root).findings.empty());
-
-    // Seeded mutation: the restore method forgets one register.
-    const std::string path = root + "/src/mem/snapcov_good.cc";
-    std::stringstream buf;
-    buf << std::ifstream(path).rdbuf();
-    std::string src = buf.str();
-    const std::string write = "seq_ = s;";
-    ASSERT_NE(src.find(write), std::string::npos);
-    src.replace(src.find(write), write.size(), "(void)s;");
-    std::ofstream(path, std::ios::trunc) << src;
-
-    const RunResult mutated = lintTree(root);
-    ASSERT_EQ(mutated.findings.size(), 1u);
-    EXPECT_EQ(mutated.findings[0].ruleId, "snapshot-coverage");
-    EXPECT_EQ(mutated.findings[0].line, 14); // int seq_ = 0;
-    EXPECT_NE(mutated.findings[0].message.find(
-                  "not written in any restore method"),
-              std::string::npos)
-        << mutated.findings[0].message;
 }
 
 // ---------------------------------------------------------------------

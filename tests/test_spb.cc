@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/clock.hh"
 #include "common/rng.hh"
 #include "core/spb.hh"
@@ -224,6 +226,93 @@ TEST(SpbDetector, EndOfPageSuppressionCountsEachOccurrence)
     EXPECT_EQ(d.stats().endOfPageSuppressed, 2u);
     EXPECT_EQ(d.stats().bursts, 0u) << "a suppressed burst is no burst";
     EXPECT_EQ(d.stats().blocksRequested, 0u);
+}
+
+/** A random store stream: ascending runs, descending runs and
+ *  scattered stores, with a store size per run. */
+class StoreStream
+{
+  public:
+    explicit StoreStream(std::uint64_t seed) : rng_(seed) {}
+
+    std::pair<Addr, unsigned>
+    next()
+    {
+        if (left_ == 0) {
+            kind_ = rng_.below(3);
+            left_ = 16 + rng_.below(400);
+            size_ = 4u << rng_.below(4); // 4..32 bytes
+            addr_ = 0x1000'0000 + rng_.below(1 << 16) * kPageSize +
+                    rng_.below(kPageSize);
+        }
+        --left_;
+        if (kind_ == 0)
+            addr_ += size_;
+        else if (kind_ == 1)
+            addr_ -= size_;
+        else
+            addr_ = 0x1000'0000 + rng_.below(1 << 28);
+        return {addr_, size_};
+    }
+
+  private:
+    Rng rng_;
+    std::uint64_t kind_ = 0;
+    std::uint64_t left_ = 0;
+    unsigned size_ = 8;
+    Addr addr_ = 0;
+};
+
+// A detector restored from another one's registers must behave exactly
+// like it from then on, whatever its own history was (the sampling
+// transplant depends on this).
+TEST(SpbDetector, RestoredTwinBehavesLikeItsSource)
+{
+    SpbParams dynamic;
+    dynamic.dynamicThreshold = true;
+    SpbParams backward;
+    backward.backwardBursts = true;
+    const SpbParams variants[] = {SpbParams{}, dynamic, backward};
+    for (const SpbParams &params : variants) {
+        SCOPED_TRACE(params.dynamicThreshold ? "dynamicThreshold"
+                     : params.backwardBursts ? "backwardBursts"
+                                             : "default");
+        std::uint64_t bursts = 0, backward_bursts = 0;
+        for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+            SpbDetector a(params), b(params);
+            StoreStream history_a(seed), history_b(seed + 100);
+            for (std::uint64_t i = 0; i < 500 + seed * 37; ++i) {
+                const auto [addr, size] = history_a.next();
+                a.onStoreCommit(addr, size);
+            }
+            for (std::uint64_t i = 0; i < 300 + seed * 53; ++i) {
+                const auto [addr, size] = history_b.next();
+                b.onStoreCommit(addr, size);
+            }
+            b.restoreArchitecturalState(a.architecturalState());
+            ASSERT_EQ(b.architecturalState(), a.architecturalState())
+                << "seed " << seed;
+
+            StoreStream shared(seed + 200);
+            for (int i = 0; i < 3000; ++i) {
+                const auto [addr, size] = shared.next();
+                const SpbBurst x = a.onStoreCommit(addr, size);
+                const SpbBurst y = b.onStoreCommit(addr, size);
+                ASSERT_EQ(y.count, x.count) << "seed " << seed << " store "
+                                            << i;
+                ASSERT_EQ(y.firstBlock, x.firstBlock)
+                    << "seed " << seed << " store " << i;
+            }
+            EXPECT_EQ(b.architecturalState(), a.architecturalState());
+            bursts += a.stats().bursts;
+            backward_bursts += a.stats().backwardBursts;
+        }
+        // The streams must exercise what they compare.
+        EXPECT_GT(bursts, 100u);
+        if (params.backwardBursts) {
+            EXPECT_GT(backward_bursts, 10u);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -76,6 +76,39 @@ TEST(Tlb, SetIndexingSpreadsPages)
     EXPECT_EQ(resident, 8);
 }
 
+// A TLB restored from another one's snapshot must translate exactly
+// like it from then on, whatever its own history was (the sampling
+// transplant depends on this). The twin's history is the shorter one,
+// so its own use clock lags the restored entries' stamps.
+TEST(Tlb, RestoredTwinGivesTheSameLatencies)
+{
+    // 70 % of accesses to 48 hot pages, the rest over 512: hits, misses
+    // and LRU evictions are all frequent in a 64-entry TLB.
+    auto vaddr = [](Rng &rng) {
+        const Addr page = rng.chance(0.7) ? rng.below(48) : rng.below(512);
+        return (page << kPageShift) + rng.below(kPageSize);
+    };
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Tlb a(TlbParams{}), b(TlbParams{});
+        Rng history_a(seed), history_b(seed + 100), shared(seed + 200);
+        for (int i = 0; i < 4000; ++i)
+            a.access(vaddr(history_a));
+        for (int i = 0; i < 400; ++i)
+            b.access(vaddr(history_b));
+        b.restoreEntries(a.snapshotEntries());
+        std::uint64_t misses = 0;
+        for (int i = 0; i < 4000; ++i) {
+            const Addr v = vaddr(shared);
+            const Cycle want = a.access(v);
+            ASSERT_EQ(b.access(v), want) << "seed " << seed << " access "
+                                         << i;
+            misses += want != 0;
+        }
+        EXPECT_GT(misses, 100u);
+        EXPECT_LT(misses, 3900u);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Best-offset prefetcher
 // ---------------------------------------------------------------------

@@ -312,14 +312,13 @@ TEST(Program, DeterministicUnderSeed)
         auto p = std::make_unique<WorkloadProgram>("t", 123);
         p->addPhase(
             [](Rng &rng) {
-                return std::make_unique<ScatterStoreSegment>(
-                    0x1000, 1 << 16, 16, 0x100, &rng);
+                return ScatterStoreSegment(0x1000, 1 << 16, 16, 0x100,
+                                           &rng);
             },
             1.0);
         p->addPhase(
             [](Rng &rng) {
-                return std::make_unique<AluChainSegment>(16, 0.5, 0.1,
-                                                         0.0, 0x200, &rng);
+                return AluChainSegment(16, 0.5, 0.1, 0.0, 0x200, &rng);
             },
             1.0);
         return p;
@@ -340,14 +339,12 @@ TEST(Program, MixesPhases)
     WorkloadProgram p("mix", 1);
     p.addPhase(
         [](Rng &rng) {
-            return std::make_unique<AluChainSegment>(8, 0.0, 0.0, 0.0,
-                                                     0x100, &rng);
+            return AluChainSegment(8, 0.0, 0.0, 0.0, 0x100, &rng);
         },
         1.0);
     p.addPhase(
         [](Rng &rng) {
-            return std::make_unique<ScatterStoreSegment>(0x1000, 1 << 16,
-                                                         8, 0x200, &rng);
+            return ScatterStoreSegment(0x1000, 1 << 16, 8, 0x200, &rng);
         },
         1.0);
     int alus = 0, stores = 0;

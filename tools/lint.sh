@@ -2,10 +2,10 @@
 # Single entry point for the repo's static analysis. Two gates, in
 # order:
 #
-#   1. spburst_lint — the repo-specific analyzer (src/analysis): six
-#      rules for determinism, scheduled-callback captures, checkpoint
-#      state coverage and hot-path cost. Built from source here; no
-#      external dependency.
+#   1. spburst_lint — the repo-specific analyzer (src/analysis): three
+#      rules, for determinism (host clocks and environment lookups,
+#      unordered-container iteration) and scheduled-callback captures.
+#      Built from source here; no external dependency.
 #   2. clang-tidy with the repo's .clang-tidy profile.
 #
 # Usage: tools/lint.sh [build-dir] [extra clang-tidy args...]
