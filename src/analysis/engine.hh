@@ -1,7 +1,8 @@
 /**
  * @file
- * The spburst-lint driver: loads files, builds indices, runs rules,
- * applies per-line suppressions, and renders results.
+ * The spburst-lint engine: one pass over a tree's source files. Each
+ * file is read, lexed and checked by every rule, and its per-line
+ * suppressions are applied, before the next file is read.
  *
  * Suppression syntax (parsed from comments):
  *
@@ -23,14 +24,6 @@
 namespace spburst::lint
 {
 
-/** One lint invocation. */
-struct Options
-{
-    std::vector<std::string> files;
-    std::string root;                   //!< anchor for relative paths
-    std::vector<std::string> onlyRules; //!< empty = all rules
-};
-
 struct RunResult
 {
     std::vector<Finding> findings;   //!< sorted (file, line, col, id)
@@ -38,16 +31,11 @@ struct RunResult
     std::size_t filesAnalyzed = 0;
 };
 
-/** Run the analysis. */
-RunResult runLint(const Options &options);
+/** Lint every *.cc / *.hh file under @p root's src/, bench/ and tools/
+ *  directories; findings name files relative to @p root. */
+RunResult lintTree(const std::string &root);
 
 /** Render findings as "file:line:col: error: [rule] message" lines. */
 std::string renderText(const RunResult &result);
-
-/** Render findings as a SARIF 2.1.0 log. */
-std::string renderSarif(const RunResult &result);
-
-/** Render findings as GitHub Actions ::error annotations. */
-std::string renderGithub(const RunResult &result);
 
 } // namespace spburst::lint

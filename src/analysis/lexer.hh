@@ -3,11 +3,10 @@
  * Lightweight C++ lexer for spburst-lint.
  *
  * The static-analysis rules (src/analysis/rules.cc) work on a token
- * stream, not an AST: the properties they police — banned identifiers,
- * iteration syntax over known-unordered containers, lambda capture
- * lists at scheduler call sites — are all visible at token level, which
- * keeps the analyzer dependency-free (no libclang) and fast enough to
- * run as a tier-1 ctest.
+ * stream, not an AST: the properties they police — banned identifiers
+ * and lambda capture lists at scheduler call sites — are both visible
+ * at token level, which keeps the analyzer dependency-free (no
+ * libclang) and fast enough to run as a tier-1 ctest.
  *
  * The lexer understands comments (kept on a separate channel so the
  * suppression parser can see them), preprocessor directives (skipped,

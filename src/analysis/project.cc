@@ -1,23 +1,26 @@
 #include "analysis/project.hh"
 
-#include <map>
-
-#include "analysis/util.hh"
+#include <filesystem>
+#include <set>
 
 namespace spburst::lint
 {
 
+namespace fs = std::filesystem;
+
 namespace
 {
+
+constexpr const char *kFirstPartyDirs[] = {"src", "bench", "tools"};
 
 /** Directories whose code can affect simulated results. A file is
  *  result-affecting when any of these appears in its relative path, so
  *  fixture corpora (tests/lint/src/cpu/...) classify the same way as
  *  the real tree. */
 constexpr std::string_view kResultAffectingDirs[] = {
-    "src/cpu/",  "src/mem/",    "src/core/",  "src/prefetch/",
-    "src/sim/",  "src/common/", "src/check/", "src/trace/",
-    "src/energy/",
+    "src/cpu/",    "src/mem/",    "src/core/",   "src/prefetch/",
+    "src/sim/",    "src/sample/", "src/common/", "src/check/",
+    "src/trace/",  "src/energy/",
 };
 
 std::string
@@ -28,16 +31,6 @@ relativeTo(const std::string &path, const std::string &root)
         path[root.size()] == '/')
         return path.substr(root.size() + 1);
     return path;
-}
-
-std::string
-stemOf(const std::string &relPath)
-{
-    const std::size_t slash = relPath.find_last_of('/');
-    std::string base =
-        slash == std::string::npos ? relPath : relPath.substr(slash + 1);
-    const std::size_t dot = base.find_last_of('.');
-    return dot == std::string::npos ? base : base.substr(0, dot);
 }
 
 /** Parse `spburst-lint: allow(<rule>, ...)` comments. A trailing
@@ -87,143 +80,29 @@ parseSuppressions(FileContext &file)
     }
 }
 
-/** Map of class-body '{' token index -> class name, for scope
- *  tracking during the declaration sweep. */
-std::map<std::size_t, std::string>
-classBodyOpens(const std::vector<Token> &toks)
-{
-    std::map<std::size_t, std::string> opens;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        if (!(isIdent(toks[i], "class") || isIdent(toks[i], "struct")))
-            continue;
-        if (i > 0 && isIdent(toks[i - 1], "enum"))
-            continue;
-        std::size_t j = i + 1;
-        if (j >= toks.size() || toks[j].kind != TokKind::Ident)
-            continue;
-        const std::string name(toks[j].text);
-        // Scan to the body '{' (through any base-clause) or give up at
-        // a ';' (forward declaration) or '(' (not a class at all).
-        for (std::size_t k = j + 1; k < toks.size(); ++k) {
-            if (isPunct(toks[k], "{")) {
-                opens.emplace(k, name);
-                break;
-            }
-            if (isPunct(toks[k], ";") || isPunct(toks[k], "("))
-                break;
-        }
-    }
-    return opens;
-}
-
-bool
-isUnorderedContainer(const Token &t)
-{
-    return isIdent(t, "unordered_map") || isIdent(t, "unordered_set") ||
-           isIdent(t, "unordered_multimap") ||
-           isIdent(t, "unordered_multiset");
-}
-
-/** Pass A: unordered-container declarations (vars + accessor methods). */
-void
-indexUnorderedDecls(const FileContext &file, TypeIndex &types)
-{
-    const std::vector<Token> &toks = file.lex.tokens;
-    const auto opens = classBodyOpens(toks);
-    std::vector<std::pair<std::string, int>> classStack; // (name, depth)
-    int depth = 0;
-
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        const Token &t = toks[i];
-        if (isPunct(t, "{")) {
-            ++depth;
-            const auto it = opens.find(i);
-            if (it != opens.end())
-                classStack.emplace_back(it->second, depth);
-            continue;
-        }
-        if (isPunct(t, "}")) {
-            --depth;
-            while (!classStack.empty() && classStack.back().second > depth)
-                classStack.pop_back();
-            continue;
-        }
-        if (!isUnorderedContainer(t))
-            continue;
-        if (i + 1 >= toks.size() || !isPunct(toks[i + 1], "<"))
-            continue;
-        std::size_t j = matchTemplateClose(toks, i + 1);
-        // Qualifiers between the type and the declarator.
-        while (j < toks.size() &&
-               (isPunct(toks[j], "&") || isPunct(toks[j], "*") ||
-                isIdent(toks[j], "const")))
-            ++j;
-        if (j >= toks.size() || toks[j].kind != TokKind::Ident)
-            continue;
-        const std::string name1(toks[j].text);
-        const std::size_t after = j + 1;
-        if (after >= toks.size())
-            continue;
-        if (isPunct(toks[after], "(")) {
-            // Method declared inside a class body.
-            const std::string cls =
-                classStack.empty() ? std::string() : classStack.back().first;
-            if (!cls.empty()) {
-                types.unorderedMethods.insert(cls + "::" + name1);
-                types.classesWithUnorderedMethods.insert(cls);
-            }
-            types.unorderedMethodsByStem[file.stem].insert(name1);
-        } else if (isPunct(toks[after], "::") && after + 2 < toks.size() &&
-                   toks[after + 1].kind == TokKind::Ident &&
-                   isPunct(toks[after + 2], "(")) {
-            // Out-of-class method definition: ... > &Class::method(
-            const std::string method(toks[after + 1].text);
-            types.unorderedMethods.insert(name1 + "::" + method);
-            types.classesWithUnorderedMethods.insert(name1);
-            types.unorderedMethodsByStem[file.stem].insert(method);
-        } else if (isPunct(toks[after], ";") || isPunct(toks[after], "=") ||
-                   isPunct(toks[after], "{") || isPunct(toks[after], ",") ||
-                   isPunct(toks[after], ")")) {
-            types.unorderedVarsByStem[file.stem].insert(name1);
-        }
-    }
-}
-
-/** Pass B: variables whose declared type is a class that owns
- *  unordered-returning methods (receiver resolution for rule
- *  unordered-iteration). */
-void
-indexClassVars(const FileContext &file, TypeIndex &types)
-{
-    const std::vector<Token> &toks = file.lex.tokens;
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-        const Token &t = toks[i];
-        if (t.kind != TokKind::Ident)
-            continue;
-        const std::string cls(t.text);
-        if (types.classesWithUnorderedMethods.count(cls) == 0)
-            continue;
-        if (i > 0 && (isIdent(toks[i - 1], "class") ||
-                      isIdent(toks[i - 1], "struct")))
-            continue; // the declaration of the class itself
-        std::size_t j = i + 1;
-        while (j < toks.size() &&
-               (isPunct(toks[j], "&") || isPunct(toks[j], "*") ||
-                isIdent(toks[j], "const")))
-            ++j;
-        if (j == i + 1 || j >= toks.size() ||
-            toks[j].kind != TokKind::Ident)
-            continue; // require at least one qualifier: Foo *x / Foo &x
-        const std::string name(toks[j].text);
-        if (j + 1 < toks.size() &&
-            (isPunct(toks[j + 1], ";") || isPunct(toks[j + 1], "=") ||
-             isPunct(toks[j + 1], "{") || isPunct(toks[j + 1], ",") ||
-             isPunct(toks[j + 1], ")")))
-            types.varClassByStem[file.stem][name] = cls;
-    }
-}
-
 } // namespace
+
+std::vector<std::string>
+filesFromTree(const std::string &root)
+{
+    std::set<std::string> files;
+    for (const char *dir : kFirstPartyDirs) {
+        const fs::path base = fs::path(root) / dir;
+        std::error_code ec;
+        if (!fs::is_directory(base, ec))
+            continue;
+        for (auto it = fs::recursive_directory_iterator(base, ec);
+             !ec && it != fs::recursive_directory_iterator(); ++it) {
+            if (!it->is_regular_file())
+                continue;
+            const std::string ext = it->path().extension().string();
+            if (ext == ".cc" || ext == ".hh")
+                files.insert(
+                    fs::weakly_canonical(it->path()).generic_string());
+        }
+    }
+    return {files.begin(), files.end()};
+}
 
 std::unique_ptr<FileContext>
 makeFile(const std::string &path, const std::string &root,
@@ -231,7 +110,6 @@ makeFile(const std::string &path, const std::string &root,
 {
     auto file = std::make_unique<FileContext>();
     file->relPath = relativeTo(path, root);
-    file->stem = stemOf(file->relPath);
     for (std::string_view dir : kResultAffectingDirs) {
         if (file->relPath.find(dir) != std::string::npos) {
             file->resultAffecting = true;
@@ -242,16 +120,6 @@ makeFile(const std::string &path, const std::string &root,
     lex(file->lex);
     parseSuppressions(*file);
     return file;
-}
-
-void
-buildIndices(Project &project)
-{
-    project.types = TypeIndex{};
-    for (const auto &file : project.files)
-        indexUnorderedDecls(*file, project.types);
-    for (const auto &file : project.files)
-        indexClassVars(*file, project.types);
 }
 
 } // namespace spburst::lint

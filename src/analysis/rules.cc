@@ -2,14 +2,12 @@
  * @file
  * The spburst-lint rule catalogue.
  *
- * Three token-level rules, each guarding one of the repo's standing
+ * Two token-level rules, each guarding one of the repo's standing
  * invariants (see DESIGN.md "Static analysis & determinism rules"):
  *
- *  - nondeterminism:        no host clocks / host randomness in
+ *  - nondeterminism:        no host clocks, host randomness, environment
+ *                           lookups or standard hash containers in
  *                           result-affecting directories.
- *  - unordered-iteration:   no iteration over unordered containers in
- *                           result-affecting directories (pointer/hash
- *                           order leaks into stats and event order).
  *  - callback-capture:      lambdas handed to the event scheduler must
  *                           use explicit captures, never reference
  *                           captures, and never raw pointers to pooled
@@ -49,32 +47,20 @@ contains(const Set &s, const Key &k)
     return s.find(k) != s.end();
 }
 
-template <typename MapOfSets>
-bool
-stemHas(const MapOfSets &m, const std::string &stem,
-        const std::string &name)
-{
-    const auto it = m.find(stem);
-    return it != m.end() && it->second.count(name) != 0;
-}
-
 // ---------------------------------------------------------------------
 // Rule: nondeterminism
 // ---------------------------------------------------------------------
 
+/** Host clocks, host randomness and environment lookups are banned in
+ *  result-affecting directories, and so are the standard hash
+ *  containers, whose iteration order is the host library's. */
 class NondeterminismRule final : public Rule
 {
   public:
-    RuleInfo
-    info() const override
-    {
-        return {"nondeterminism",
-                "host clocks, host randomness, and environment lookups "
-                "are banned in result-affecting directories"};
-    }
+    std::string_view id() const override { return "nondeterminism"; }
 
     void
-    check(const Project &, const FileContext &file,
+    check(const FileContext &file,
           std::vector<Finding> &out) const override
     {
         if (!file.resultAffecting)
@@ -87,6 +73,9 @@ class NondeterminismRule final : public Rule
             "clock_gettime", "timespec_get",  "localtime",
             "gmtime",        "getenv",
         };
+        static const std::set<std::string_view> hashContainers = {
+            "unordered_map", "unordered_set", "unordered_multimap",
+            "unordered_multiset"};
         // These are only banned as free-function calls in expression
         // context: 'time'/'clock' are common member and accessor names
         // (System::clock() returns the sim clock).
@@ -101,7 +90,20 @@ class NondeterminismRule final : public Rule
             const Token &t = toks[i];
             if (t.kind != TokKind::Ident)
                 continue;
-            const bool always = contains(banned, t.text);
+            if (contains(hashContainers, t.text)) {
+                add(out, id(), file, t,
+                    inResultCode(t.text,
+                                 "a hash container iterates in an order "
+                                 "set by its hash, bucket count and "
+                                 "standard library, and that order leaks "
+                                 "into stats and event order once "
+                                 "anything walks it; key by block "
+                                 "address with BlockMap or BlockSet "
+                                 "(src/mem/block_map.hh), which cannot "
+                                 "be iterated, or use an ordered "
+                                 "container"));
+                continue;
+            }
             bool asCall = false;
             if (contains(bannedCalls, t.text) && i + 1 < toks.size() &&
                 isPunct(toks[i + 1], "(") && i > 0) {
@@ -114,175 +116,30 @@ class NondeterminismRule final : public Rule
                 else if (contains(exprBefore, toks[i - 1].text))
                     asCall = true;
             }
-            if (!always && !asCall)
+            if (!contains(banned, t.text) && !asCall)
                 continue;
-            // Two-step concat here and below: GCC 12 -Wrestrict
-            // misfires on operator+(const char *, std::string &&).
-            std::string msg = "'";
-            msg += t.text;
-            msg += "' in result-affecting code: simulated results "
-                   "must be bit-identical across hosts and runs; use "
-                   "spburst::Rng seeded from the config for "
-                   "randomness, and keep host timing in src/exp or "
-                   "tools/";
-            add(out, info().id, file, t, msg);
-        }
-    }
-};
-
-// ---------------------------------------------------------------------
-// Rule: unordered-iteration
-// ---------------------------------------------------------------------
-
-class UnorderedIterationRule final : public Rule
-{
-  public:
-    RuleInfo
-    info() const override
-    {
-        return {"unordered-iteration",
-                "iterating an unordered container in result-affecting "
-                "code leaks pointer/hash order into stats and event "
-                "order"};
-    }
-
-    void
-    check(const Project &project, const FileContext &file,
-          std::vector<Finding> &out) const override
-    {
-        if (!file.resultAffecting)
-            return;
-        const TypeIndex &types = project.types;
-        const std::vector<Token> &toks = file.lex.tokens;
-        for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-            if (!isIdent(toks[i], "for") || !isPunct(toks[i + 1], "("))
-                continue;
-            const std::size_t close = matchClose(toks, i + 1);
-            if (close >= toks.size())
-                continue;
-            const std::size_t colon = findRangeColon(toks, i + 1, close);
-            std::string what;
-            if (colon != 0) {
-                what = unorderedRange(types, file, toks, colon + 1, close);
-            } else {
-                what = unorderedIteratorInit(types, file, toks, i + 2,
-                                             close);
-            }
-            if (!what.empty()) {
-                add(out, info().id, file, toks[i],
-                    "iteration over unordered container " + what +
-                        ": pointer/hash order is host-dependent and "
-                        "leaks into stats, error reports, and event "
-                        "order; iterate a sorted copy of the keys or "
-                        "use an ordered/indexed container");
-            }
+            add(out, id(), file, t,
+                inResultCode(t.text,
+                             "simulated results must be bit-identical "
+                             "across hosts and runs; use spburst::Rng "
+                             "seeded from the config for randomness, "
+                             "and keep host timing in src/exp or "
+                             "tools/"));
         }
     }
 
   private:
-    /** Index of the range-for ':' directly inside the for-parens, or 0
-     *  if this is not a range-for. */
-    static std::size_t
-    findRangeColon(const std::vector<Token> &toks, std::size_t open,
-                   std::size_t close)
-    {
-        int pd = 0, bd = 0, cd = 0;
-        for (std::size_t i = open + 1; i < close; ++i) {
-            const Token &t = toks[i];
-            if (t.kind != TokKind::Punct)
-                continue;
-            if (t.text == "(")
-                ++pd;
-            else if (t.text == ")")
-                --pd;
-            else if (t.text == "[")
-                ++bd;
-            else if (t.text == "]")
-                --bd;
-            else if (t.text == "{")
-                ++cd;
-            else if (t.text == "}")
-                --cd;
-            else if (t.text == ";")
-                return 0; // classic for loop
-            else if (t.text == ":" && pd == 0 && bd == 0 && cd == 0)
-                return i;
-        }
-        return 0;
-    }
-
-    /** Non-empty description when the range expression [first, last)
-     *  names a known unordered container. */
+    /** "'<name>' in result-affecting code: <why>". Built in steps: GCC
+     *  12 -Wrestrict misfires on operator+(const char *, std::string
+     *  &&). */
     static std::string
-    unorderedRange(const TypeIndex &types, const FileContext &file,
-                   const std::vector<Token> &toks, std::size_t first,
-                   std::size_t last)
+    inResultCode(std::string_view name, std::string_view why)
     {
-        const std::size_t n = last > first ? last - first : 0;
-        // Bare variable: for (x : map_)
-        if (n == 1 && toks[first].kind == TokKind::Ident) {
-            const std::string name(toks[first].text);
-            if (stemHas(types.unorderedVarsByStem, file.stem, name))
-                return "'" + name + "'";
-        }
-        // Unqualified accessor: for (x : entries())
-        if (n == 3 && toks[first].kind == TokKind::Ident &&
-            isPunct(toks[first + 1], "(") &&
-            isPunct(toks[first + 2], ")")) {
-            const std::string m(toks[first].text);
-            if (stemHas(types.unorderedMethodsByStem, file.stem, m))
-                return "'" + m + "()'";
-        }
-        // Qualified accessor: for (x : recv->entries())
-        if (n == 5 && toks[first].kind == TokKind::Ident &&
-            (isPunct(toks[first + 1], ".") ||
-             isPunct(toks[first + 1], "->")) &&
-            toks[first + 2].kind == TokKind::Ident &&
-            isPunct(toks[first + 3], "(") &&
-            isPunct(toks[first + 4], ")")) {
-            const std::string recv(toks[first].text);
-            const std::string m(toks[first + 2].text);
-            if (recv == "this") {
-                if (stemHas(types.unorderedMethodsByStem, file.stem, m))
-                    return "'this->" + m + "()'";
-            } else {
-                const auto vt = types.varClassByStem.find(file.stem);
-                if (vt != types.varClassByStem.end()) {
-                    const auto cls = vt->second.find(recv);
-                    if (cls != vt->second.end() &&
-                        contains(types.unorderedMethods,
-                                 cls->second + "::" + m))
-                        return "'" + recv + "'s " + cls->second +
-                               "::" + m + "()'";
-                }
-            }
-        }
-        return {};
-    }
-
-    /** Non-empty description when a classic for-loop's init section
-     *  starts an iterator walk over a known unordered container. */
-    static std::string
-    unorderedIteratorInit(const TypeIndex &types, const FileContext &file,
-                          const std::vector<Token> &toks,
-                          std::size_t first, std::size_t last)
-    {
-        for (std::size_t i = first; i + 2 < last; ++i) {
-            if (isPunct(toks[i], ";"))
-                break; // only the init section
-            if (!(isIdent(toks[i + 2], "begin") ||
-                  isIdent(toks[i + 2], "cbegin")))
-                continue;
-            if (!(isPunct(toks[i + 1], ".") ||
-                  isPunct(toks[i + 1], "->")))
-                continue;
-            if (toks[i].kind != TokKind::Ident)
-                continue;
-            const std::string recv(toks[i].text);
-            if (stemHas(types.unorderedVarsByStem, file.stem, recv))
-                return "'" + recv + "' (iterator loop)";
-        }
-        return {};
+        std::string msg = "'";
+        msg += name;
+        msg += "' in result-affecting code: ";
+        msg += why;
+        return msg;
     }
 };
 
@@ -425,21 +282,16 @@ scheduledLambdas(const FileContext &file)
 // Rule: callback-capture
 // ---------------------------------------------------------------------
 
+/** Scheduled callbacks run after the current frame is gone and after
+ *  pooled slots may have been recycled: explicit captures only, no
+ *  references, no raw pointers to pooled entries. */
 class CallbackCaptureRule final : public Rule
 {
   public:
-    RuleInfo
-    info() const override
-    {
-        return {"callback-capture",
-                "scheduled callbacks run after the current frame is "
-                "gone and after pooled slots may have been recycled: "
-                "explicit captures only, no references, no raw "
-                "pointers to pooled entries"};
-    }
+    std::string_view id() const override { return "callback-capture"; }
 
     void
-    check(const Project &, const FileContext &file,
+    check(const FileContext &file,
           std::vector<Finding> &out) const override
     {
         // Pooled / recycled slot types: capturing a raw pointer to one
@@ -450,20 +302,20 @@ class CallbackCaptureRule final : public Rule
             for (const CaptureEntry &e : lam.captures) {
                 switch (e.kind) {
                 case CaptureEntry::Kind::DefaultRef:
-                    add(out, info().id, file, *e.at,
+                    add(out, id(), file, *e.at,
                         "default reference capture [&] in a scheduled "
                         "callback: every captured local dangles by the "
                         "time the event runs; capture explicitly by "
                         "value");
                     break;
                 case CaptureEntry::Kind::DefaultCopy:
-                    add(out, info().id, file, *e.at,
+                    add(out, id(), file, *e.at,
                         "default copy capture [=] in a scheduled "
                         "callback: list the captures explicitly so "
                         "their lifetime and size stay auditable");
                     break;
                 case CaptureEntry::Kind::Ref:
-                    add(out, info().id, file, *e.at,
+                    add(out, id(), file, *e.at,
                         "reference capture '&" + e.name +
                             "' in a scheduled callback: the referent's "
                             "frame is gone when the event runs; "
@@ -471,7 +323,7 @@ class CallbackCaptureRule final : public Rule
                     break;
                 case CaptureEntry::Kind::Copy:
                     if (e.pointer && contains(pooled, e.type)) {
-                        add(out, info().id, file, *e.at,
+                        add(out, id(), file, *e.at,
                             "captured raw pointer '" + e.name +
                                 "' to pooled " + e.type +
                                 " slot in a scheduled callback: the "
@@ -495,9 +347,8 @@ const std::vector<const Rule *> &
 allRules()
 {
     static const NondeterminismRule r1;
-    static const UnorderedIterationRule r2;
-    static const CallbackCaptureRule r3;
-    static const std::vector<const Rule *> rules = {&r1, &r2, &r3};
+    static const CallbackCaptureRule r2;
+    static const std::vector<const Rule *> rules = {&r1, &r2};
     return rules;
 }
 

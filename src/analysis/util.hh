@@ -1,6 +1,6 @@
 /**
  * @file
- * Token-stream helpers shared by the index builders and the rules.
+ * Token-stream helpers for the rules.
  */
 
 #pragma once
@@ -40,29 +40,6 @@ matchClose(const std::vector<Token> &toks, std::size_t open)
             ++depth;
         else if (isPunct(toks[i], c) && --depth == 0)
             return i;
-    }
-    return toks.size();
-}
-
-/** Index just past the '>' closing the '<' at @p open, treating ">>"
- *  as two closers; toks.size() when unbalanced. */
-inline std::size_t
-matchTemplateClose(const std::vector<Token> &toks, std::size_t open)
-{
-    int depth = 0;
-    for (std::size_t i = open; i < toks.size(); ++i) {
-        if (isPunct(toks[i], "<")) {
-            ++depth;
-        } else if (isPunct(toks[i], ">")) {
-            if (--depth == 0)
-                return i + 1;
-        } else if (isPunct(toks[i], ">>")) {
-            depth -= 2;
-            if (depth <= 0)
-                return i + 1;
-        } else if (isPunct(toks[i], ";")) {
-            break; // statement ended: not a template argument list
-        }
     }
     return toks.size();
 }

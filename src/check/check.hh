@@ -16,9 +16,6 @@
  *          forwarding cross-checks, SWMR coherence audits, end-of-run
  *          drain audits (MSHR leaks).
  *
- * Compile with -DSPBURST_DISABLE_CHECKS to remove every check at
- * compile time (true zero overhead; the level knob becomes inert).
- *
  * Counters are thread-local: the experiment engine runs one job per
  * host thread, so a System's counters are private to its run and the
  * per-run deltas exported into SimResult are exact even under --jobs=N.
@@ -132,22 +129,14 @@ level()
 inline bool
 enabled()
 {
-#ifdef SPBURST_DISABLE_CHECKS
-    return false;
-#else
     return level() != Level::Off;
-#endif
 }
 
 /** True if the expensive oracles are active. */
 inline bool
 full()
 {
-#ifdef SPBURST_DISABLE_CHECKS
-    return false;
-#else
     return level() == Level::Full;
-#endif
 }
 
 /** Set the process-wide checking level. */
@@ -175,13 +164,6 @@ counters()
 void resetCounters();
 
 } // namespace spburst::check
-
-#ifdef SPBURST_DISABLE_CHECKS
-
-#define SPBURST_CHECK(domain, cond, ...) do { } while (0)
-#define SPBURST_CHECK_SLOW(domain, cond, ...) do { } while (0)
-
-#else
 
 /**
  * Fast-tier invariant: active at --check=fast and above. @p domain is a
@@ -213,5 +195,3 @@ void resetCounters();
             }                                                               \
         }                                                                   \
     } while (0)
-
-#endif // SPBURST_DISABLE_CHECKS

@@ -428,7 +428,7 @@ CacheController::classifyStoreDemand(Addr block_addr, CacheBlk *blk)
         }
         return;
     }
-    if (evictedUnusedPf_.erase(block_addr) > 0)
+    if (evictedUnusedPf_.erase(block_addr))
         ++stats_.pfEarly;
 }
 

@@ -15,15 +15,14 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory_resource>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/clock.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "mem/block_map.hh"
 #include "mem/cache.hh"
 #include "mem/level.hh"
 #include "mem/mshr.hh"
@@ -269,14 +268,9 @@ class CacheController : public MemLevel
     /** notifyPrefetcher scratch: the prefetcher's wanted blocks. */
     std::vector<Addr> wanted_;
 
-    /** Node store of evictedUnusedPf_: the set grows with the
-     *  workload's footprint, and the pool turns one allocation per
-     *  block into a few chunk allocations. Declared first so it
-     *  outlives the set. */
-    std::pmr::unsynchronized_pool_resource evictedUnusedPool_;
     /** Blocks whose store prefetch was evicted before first use; a
      *  later store demand reclassifies them as "early". */
-    std::pmr::unordered_set<Addr> evictedUnusedPf_{&evictedUnusedPool_};
+    BlockSet evictedUnusedPf_;
 
     CacheStats stats_;
 };

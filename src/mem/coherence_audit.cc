@@ -1,6 +1,5 @@
 #include "mem/coherence_audit.hh"
 
-#include <algorithm>
 #include <vector>
 
 #include "check/check.hh"
@@ -73,17 +72,8 @@ CoherenceAuditor::auditFull() const
     if (!dir_)
         return;
     // Audit in address order so the first SPBURST_CHECK to fire — and
-    // therefore the error report — is the same on every host. The
-    // harvest loop itself is order-insensitive (it only collects keys).
-    std::vector<Addr> addrs;
-    addrs.reserve(dir_->entries().size());
-    // spburst-lint: allow(unordered-iteration) -- key harvest only; sorted below
-    for (const auto &[addr, entry] : dir_->entries()) {
-        (void)entry;
-        addrs.push_back(addr);
-    }
-    std::sort(addrs.begin(), addrs.end());
-    for (const Addr addr : addrs)
+    // therefore the error report — is the same on every host.
+    for (const Addr addr : dir_->trackedBlocks())
         auditBlock(addr);
 }
 

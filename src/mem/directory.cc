@@ -85,8 +85,8 @@ DirectoryController::evicted(Addr block_addr)
 DirectoryController::Entry
 DirectoryController::lookup(Addr block_addr) const
 {
-    auto it = dir_.find(blockAlign(block_addr));
-    return it == dir_.end() ? Entry{} : it->second;
+    const Entry *e = dir_.find(blockAlign(block_addr));
+    return e ? *e : Entry{};
 }
 
 } // namespace spburst

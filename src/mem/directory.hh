@@ -16,11 +16,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory_resource>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
+#include "mem/block_map.hh"
 #include "mem/cache_controller.hh"
 #include "mem/request.hh"
 
@@ -86,11 +85,8 @@ class DirectoryController
     /** Registered per-core ports (for the SWMR auditor). */
     const std::vector<CorePorts> &ports() const { return cores_; }
 
-    /** Every tracked block (for the full SWMR sweep). */
-    const std::pmr::unordered_map<Addr, Entry> &entries() const
-    {
-        return dir_;
-    }
+    /** Every tracked block, ascending (for the full SWMR sweep). */
+    std::vector<Addr> trackedBlocks() const { return dir_.sortedKeys(); }
 
     /** Attach the SWMR auditor (notified after each transaction in
      *  --check=full mode). */
@@ -99,12 +95,7 @@ class DirectoryController
   private:
     Cycle remoteLatency_;
     std::vector<CorePorts> cores_;
-    /** Node store of dir_: the directory grows with the workload's
-     *  footprint, and the pool turns one allocation per tracked block
-     *  into a few chunk allocations (an evicted block's node is reused
-     *  by the next one). Declared first so it outlives the map. */
-    std::pmr::unsynchronized_pool_resource pool_;
-    std::pmr::unordered_map<Addr, Entry> dir_{&pool_};
+    BlockMap<Entry> dir_;
     CoherenceAuditor *auditor_ = nullptr;
     DirectoryStats stats_;
 };

@@ -51,6 +51,24 @@ jsonNumber(double v)
     return os.str();
 }
 
+/** One CSV field as RFC 4180 writes it: quoted when it holds a comma,
+ *  a quote or a line break, with every inner quote doubled. A trace
+ *  workload is named after its spec ("trace:FILE,skip=N"). */
+std::string
+csvField(const std::string &s)
+{
+    if (s.find_first_of(",\"\r\n") == std::string::npos)
+        return s;
+    std::string out = "\"";
+    for (const char c : s) {
+        if (c == '"')
+            out += '"';
+        out += c;
+    }
+    out += '"';
+    return out;
+}
+
 } // namespace
 
 std::string
@@ -281,7 +299,7 @@ toCsv(const std::vector<SimResult> &results)
         os << "," << c;
     os << "\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
-        os << results[i].workload;
+        os << csvField(results[i].workload);
         for (const auto &c : columns) {
             os << ",";
             if (stats[i].has(c)) {

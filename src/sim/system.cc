@@ -233,14 +233,6 @@ System::System(const SystemConfig &config)
 System::~System() = default;
 
 void
-System::tickOnce()
-{
-    clock_.tick();
-    for (auto &core : cores_)
-        core->tick();
-}
-
-void
 System::stepCycle()
 {
     clock_.tick();

@@ -200,10 +200,6 @@ class System
      */
     SimResult run(const std::function<bool()> &interrupt);
 
-    /** Advance one cycle, ticking every core (fine-grained control
-     *  for tests/examples; no core sleeps here). */
-    void tickOnce();
-
     /** Per-core accessors for tests and examples. */
     Core &core(int i) { return *cores_.at(i); }
     MemorySystem &memory() { return mem_; }

@@ -16,4 +16,10 @@ seedFromHost()
     return s;
 }
 
+inline unsigned long long
+hashedCount(const std::unordered_map<int, int> &blocks)
+{
+    return blocks.size();
+}
+
 } // namespace fx

@@ -1,6 +1,8 @@
 // Fixture: host-side directories (tools/, src/exp, bench setup) are
-// exempt from the determinism rules — this rand() is legal here.
+// exempt from the determinism rule — this rand() and this hash
+// container are legal here.
 #include <cstdlib>
+#include <unordered_map>
 
 namespace fx
 {
@@ -9,6 +11,12 @@ inline unsigned
 hostSeed()
 {
     return rand();
+}
+
+inline unsigned
+hostJobs(const std::unordered_map<int, unsigned> &jobsByHost)
+{
+    return static_cast<unsigned>(jobsByHost.size());
 }
 
 } // namespace fx

@@ -69,6 +69,40 @@ TEST(Report, CsvHasHeaderAndOneRowPerResult)
     EXPECT_NE(csv.find("\nnamd,"), std::string::npos);
 }
 
+TEST(Report, CsvQuotesWorkloadsThatHoldCommasOrQuotes)
+{
+    // --trace=FILE,skip=N names its workload "trace:FILE,skip=N".
+    SimResult trace = tinyRun("gcc");
+    trace.workload = "trace:data/fixture.champsim,skip=100";
+    SimResult quoted = trace;
+    quoted.workload = "say \"hi\"";
+    const std::string csv = toCsv({trace, quoted});
+    EXPECT_NE(csv.find("\n\"trace:data/fixture.champsim,skip=100\","),
+              std::string::npos)
+        << csv;
+    EXPECT_NE(csv.find("\n\"say \"\"hi\"\"\","), std::string::npos) << csv;
+
+    // Every row has as many fields as the header (RFC 4180: a comma
+    // inside quotes separates nothing, a doubled quote is one quote).
+    std::istringstream lines(csv);
+    std::string line;
+    std::vector<std::size_t> fields;
+    while (std::getline(lines, line)) {
+        std::size_t n = 1;
+        bool inQuotes = false;
+        for (const char c : line) {
+            if (c == '"')
+                inQuotes = !inQuotes;
+            else if (c == ',' && !inQuotes)
+                ++n;
+        }
+        fields.push_back(n);
+    }
+    ASSERT_EQ(fields.size(), 3u);
+    EXPECT_EQ(fields[1], fields[0]);
+    EXPECT_EQ(fields[2], fields[0]);
+}
+
 TEST(Report, JsonEscapesControlCharacters)
 {
     EXPECT_EQ(jsonEscape("\x07"), "\\u0007");

@@ -332,7 +332,8 @@ TEST(SampleFetchBudget, CoreCommitsExactlyTheBudgetThenDrains)
     EXPECT_TRUE(sys.core(0).drained()) << "fresh core starts drained";
     do {
         ASSERT_LT(sys.clock().now, 100'000u) << "budget run never drained";
-        sys.tickOnce();
+        sys.clock().tick();
+        sys.core(0).tick();
     } while (!(sys.core(0).drained() && sys.clock().events.empty()));
     EXPECT_EQ(sys.core(0).committed(), 123u);
     EXPECT_EQ(sys.core(0).fetchBudget(), 0u);

@@ -1,23 +1,13 @@
 #!/usr/bin/env bash
-# Single entry point for the repo's static analysis. Two gates, in
-# order:
-#
-#   1. spburst_lint — the repo-specific analyzer (src/analysis): three
-#      rules, for determinism (host clocks and environment lookups,
-#      unordered-container iteration) and scheduled-callback captures.
-#      Built from source here; no external dependency.
-#   2. clang-tidy with the repo's .clang-tidy profile.
+# clang-tidy over the first-party sources with the repo's .clang-tidy
+# profile. The repo's own analyzer, spburst-lint (src/analysis), is not
+# run here: it runs inside the tier-1 suite as
+# LintTree.RealSourcesLintClean (`ctest -R '^Lint'` runs it alone).
 #
 # Usage: tools/lint.sh [build-dir] [extra clang-tidy args...]
 #
 # The build dir must contain compile_commands.json; pass
 # -DCMAKE_EXPORT_COMPILE_COMMANDS=ON to cmake (CI does).
-#
-# Environment:
-#   SPBURST_LINT_SARIF  if set, spburst_lint also writes a SARIF 2.1.0
-#                       log to this path (CI uploads it as an artifact)
-#   GITHUB_ACTIONS      when "true", spburst_lint emits ::error
-#                       annotations so findings land on the PR diff
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -31,21 +21,6 @@ if [[ ! -f "${build_dir}/compile_commands.json" ]]; then
     exit 2
 fi
 
-# --- Gate 1: spburst_lint -------------------------------------------------
-cmake --build "${build_dir}" --target spburst_lint
-lint_args=("--compdb=${build_dir}" "--root=${repo_root}")
-if [[ -n "${SPBURST_LINT_SARIF:-}" ]]; then
-    lint_args+=("--sarif=${SPBURST_LINT_SARIF}")
-fi
-if [[ "${GITHUB_ACTIONS:-}" == "true" ]]; then
-    lint_args+=("--github")
-fi
-echo "lint.sh: spburst_lint ${lint_args[*]}"
-# The analyzer prints its own wall-clock trailer ("N files, M findings
-# in T ms").
-"${build_dir}/tools/spburst_lint" "${lint_args[@]}"
-
-# --- Gate 2: clang-tidy ---------------------------------------------------
 # Locate clang-tidy: plain name first, then versioned names (newest
 # first). The dev container may not ship it — fail with instructions
 # rather than silently passing.
